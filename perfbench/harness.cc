@@ -697,4 +697,30 @@ uint64_t PairCounter(const std::string& value) {
   return c;
 }
 
+bool LoadPairs(Database* db, uint64_t rows, uint64_t seed, TableHandle* mem,
+               TableHandle* stor, uint64_t* sum) {
+  auto m = db->CreateTable("pair_mem", EngineKind::kMem, kPairValueSize);
+  auto s = db->CreateTable("pair_stor", EngineKind::kStor, kPairValueSize);
+  if (!m.ok() || !s.ok()) return false;
+  *mem = *m;
+  *stor = *s;
+  *sum = 0;
+  Rng rng(seed);
+  constexpr uint64_t kBatch = 1000;
+  for (uint64_t base = 0; base < rows; base += kBatch) {
+    auto txn = db->Begin();
+    for (uint64_t k = base; k < std::min(rows, base + kBatch); ++k) {
+      uint64_t c = rng.Uniform(1000);
+      *sum += c;
+      std::string v = PairValue(k, c);
+      if (!txn->Put(*mem, PairKey(k), v).ok() ||
+          !txn->Put(*stor, PairKey(k), v).ok()) {
+        return false;
+      }
+    }
+    if (!txn->Commit().ok()) return false;
+  }
+  return true;
+}
+
 }  // namespace skeena::perfbench

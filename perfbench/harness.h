@@ -253,6 +253,13 @@ Key PairKey(uint64_t k);
 std::string PairValue(uint64_t k, uint64_t counter);
 uint64_t PairCounter(const std::string& value);
 
+/// Creates the pair tables ("pair_mem" in memdb, "pair_stor" in stordb) and
+/// loads `rows` equal pairs with counters drawn from `seed`, in batches of
+/// 1000 from one loader, which has nothing to conflict with. `*sum` is the
+/// sum of the counters. False on any failure.
+bool LoadPairs(Database* db, uint64_t rows, uint64_t seed, TableHandle* mem,
+               TableHandle* stor, uint64_t* sum);
+
 /// A workload's result; `correct` is false (and stderr says why) when an
 /// output check failed.
 struct WorkloadRun {

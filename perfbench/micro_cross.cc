@@ -15,7 +15,6 @@ namespace {
 constexpr int kClients = 16;
 constexpr int kSetups = 5;
 constexpr int kMaxAttempts = 1000;
-constexpr uint64_t kLoadBatch = 1000;
 
 }  // namespace
 
@@ -24,31 +23,11 @@ PairDb SetupMicroCross(const MicroCrossOptions& options, uint64_t seed) {
   opts.enable_skeena = options.enable_skeena;
   PairDb p;
   p.db = std::make_unique<Database>(opts);
-  p.mem = *p.db->CreateTable("pair_mem", EngineKind::kMem, kPairValueSize);
-  p.stor = *p.db->CreateTable("pair_stor", EngineKind::kStor, kPairValueSize);
   p.rows = options.rows;
-  Rng rng(seed);
-  for (uint64_t base = 0; base < p.rows; base += kLoadBatch) {
-    std::vector<uint64_t> counters;
-    for (uint64_t k = base; k < std::min(p.rows, base + kLoadBatch); ++k) {
-      counters.push_back(rng.Uniform(1000));
-    }
-    for (int attempt = 0;; ++attempt) {
-      auto txn = p.db->Begin();
-      bool ok = true;
-      for (size_t i = 0; i < counters.size() && ok; ++i) {
-        uint64_t k = base + i;
-        std::string v = PairValue(k, counters[i]);
-        ok = txn->Put(p.mem, PairKey(k), v).ok() &&
-             txn->Put(p.stor, PairKey(k), v).ok();
-      }
-      if (ok && txn->Commit().ok()) break;
-      txn->Abort();
-      if (attempt == kMaxAttempts) {
-        std::fprintf(stderr, "micro_cross: load batch failed\n");
-        std::abort();
-      }
-    }
+  uint64_t sum = 0;
+  if (!LoadPairs(p.db.get(), p.rows, seed, &p.mem, &p.stor, &sum)) {
+    std::fprintf(stderr, "micro_cross: load failed\n");
+    std::abort();
   }
   return p;
 }

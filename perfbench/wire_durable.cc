@@ -27,7 +27,6 @@ constexpr int kClients = 16;
 constexpr int kSetups = 5;
 constexpr int kMaxAttempts = 1000;
 constexpr uint64_t kRows = 100000;
-constexpr uint64_t kLoadBatch = 1000;
 
 using server::Response;
 using server::Stmt;
@@ -118,7 +117,6 @@ struct Instance {
     srv.reset();
     db.reset();
     wal = Wal();
-    initial_sum = 0;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
   }
@@ -151,24 +149,9 @@ bool Setup(const std::string& dir, uint64_t seed, Instance* in) {
   // the logs supplied, the first catalog entry would find no directory.
   std::filesystem::create_directories(dir, ec);
   in->db = std::make_unique<Database>(Options(dir, in->wal));
-  auto mem = in->db->CreateTable("pair_mem", EngineKind::kMem, kPairValueSize);
-  auto stor =
-      in->db->CreateTable("pair_stor", EngineKind::kStor, kPairValueSize);
-  if (!mem.ok() || !stor.ok()) return false;
-  Rng rng(seed);
-  for (uint64_t base = 0; base < kRows; base += kLoadBatch) {
-    auto txn = in->db->Begin();
-    for (uint64_t k = base; k < std::min(kRows, base + kLoadBatch); ++k) {
-      uint64_t c = rng.Uniform(1000);
-      in->initial_sum += c;
-      std::string v = PairValue(k, c);
-      if (!txn->Put(*mem, PairKey(k), v).ok() ||
-          !txn->Put(*stor, PairKey(k), v).ok()) {
-        return false;
-      }
-    }
-    // A lone loader has nothing to conflict with.
-    if (!txn->Commit().ok()) return false;
+  TableHandle mem, stor;
+  if (!LoadPairs(in->db.get(), kRows, seed, &mem, &stor, &in->initial_sum)) {
+    return false;
   }
   in->srv = std::make_unique<server::Server>(in->db.get());
   if (!in->srv->Start().ok()) return false;
