@@ -22,28 +22,77 @@ namespace skeena::perfbench {
 
 namespace {
 
+// Aggregate CPU time counters of /proc/stat: {steal, total}, in ticks.
+std::pair<uint64_t, uint64_t> CpuTicks() {
+  uint64_t v[10] = {};
+  if (FILE* f = std::fopen("/proc/stat", "r")) {
+    if (std::fscanf(f,
+                    "cpu %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
+                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64,
+                    &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6],
+                    &v[7]) != 8) {
+      v[7] = 0;
+    }
+    std::fclose(f);
+  }
+  uint64_t total = 0;
+  for (uint64_t x : v) total += x;
+  return {v[7], total};
+}
+
+double StealShare(std::pair<uint64_t, uint64_t> a,
+                  std::pair<uint64_t, uint64_t> b) {
+  return b.second > a.second ? static_cast<double>(b.first - a.first) /
+                                   static_cast<double>(b.second - a.second)
+                             : 0;
+}
+
 // One client's results. Only transactions that began and completed inside
 // the window count; the rest are discarded.
 struct ClientResult {
-  uint64_t committed = 0;
-  uint64_t failed = 0;
-  uint64_t aborts = 0;
-  std::vector<uint64_t> commit_ends;
-  // (completion time, latency) of each sample.
-  std::vector<std::pair<uint64_t, uint64_t>> rw, ro;
+  std::vector<SubWindow> subs;
+  std::vector<Sample> rw, ro;
 };
 
 }  // namespace
 
+SubWindow WindowResult::Total() const {
+  SubWindow t;
+  for (const SubWindow& s : subs) {
+    t.seconds += s.seconds;
+    t.committed += s.committed;
+    t.failed += s.failed;
+    t.aborts += s.aborts;
+    t.steal += s.steal * s.seconds;
+  }
+  if (t.seconds > 0) t.steal /= t.seconds;
+  return t;
+}
+
+size_t WindowResult::SubOf(uint64_t end_ns) const {
+  size_t i = sub_ns > 0 ? static_cast<size_t>((end_ns - start_ns) / sub_ns) : 0;
+  return std::min(i, subs.size() - 1);
+}
+
 WindowResult RunWindow(int clients, double seconds, uint64_t seed,
                        bool trace, const TxnBody& body,
                        std::vector<Tracer>* tracers) {
+  WindowResult w;
+  const uint64_t window_ns = static_cast<uint64_t>(seconds * 1e9);
+  w.sub_ns = std::min(window_ns, static_cast<uint64_t>(kSubWindowS * 1e9));
+  const size_t n_subs =
+      static_cast<size_t>((window_ns + w.sub_ns - 1) / w.sub_ns);
+  w.subs.resize(n_subs);
+  for (size_t i = 0; i < n_subs; ++i) {
+    uint64_t end = std::min<uint64_t>(window_ns, (i + 1) * w.sub_ns);
+    w.subs[i].seconds = static_cast<double>(end - i * w.sub_ns) / 1e9;
+  }
+
   std::vector<ClientResult> results(static_cast<size_t>(clients));
   tracers->clear();
   for (int c = 0; c < clients; ++c) tracers->emplace_back(trace);
 
   std::atomic<uint64_t> start_ns{0};
-  const uint64_t window_ns = static_cast<uint64_t>(seconds * 1e9);
   std::barrier sync(clients, [&]() noexcept { start_ns.store(NowNs()); });
 
   std::vector<std::thread> threads;
@@ -51,7 +100,7 @@ WindowResult RunWindow(int clients, double seconds, uint64_t seed,
     threads.emplace_back([&, c] {
       Rng rng(seed * 1000003 + static_cast<uint64_t>(c) + 1);
       ClientResult& r = results[static_cast<size_t>(c)];
-      r.commit_ends.reserve(1 << 17);
+      r.subs.resize(n_subs);
       r.rw.reserve(1 << 17);
       r.ro.reserve(1 << 17);
       Tracer& tr = (*tracers)[static_cast<size_t>(c)];
@@ -69,19 +118,19 @@ WindowResult RunWindow(int clients, double seconds, uint64_t seed,
           tr.Truncate(mark);
           break;
         }
-        r.aborts += out.aborts;
+        SubWindow& sub =
+            r.subs[std::min<size_t>((t1 - begin) / w.sub_ns, n_subs - 1)];
+        sub.aborts += out.aborts;
         switch (out.kind) {
           case TxnOutcome::Kind::kFailed:
-            ++r.failed;
+            ++sub.failed;
             break;
           case TxnOutcome::Kind::kReadOnly:
-            ++r.committed;
-            r.commit_ends.push_back(t1);
+            ++sub.committed;
             if (out.timed) r.ro.push_back({t1, t1 - t0});
             break;
           case TxnOutcome::Kind::kReadWrite:
-            ++r.committed;
-            r.commit_ends.push_back(t1);
+            ++sub.committed;
             if (out.timed) r.rw.push_back({t1, t1 - t0});
             break;
         }
@@ -89,27 +138,90 @@ WindowResult RunWindow(int clients, double seconds, uint64_t seed,
       }
     });
   }
+
+  // Host steal of each sub-window, read at its boundaries.
+  while (start_ns.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  w.start_ns = start_ns.load();
+  auto ticks = CpuTicks();
+  for (size_t i = 0; i < n_subs; ++i) {
+    uint64_t end =
+        w.start_ns + std::min<uint64_t>(window_ns, (i + 1) * w.sub_ns);
+    std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+        std::chrono::nanoseconds(end)));
+    auto next = CpuTicks();
+    w.subs[i].steal = StealShare(ticks, next);
+    ticks = next;
+  }
   for (auto& t : threads) t.join();
 
-  WindowResult w;
-  w.start_ns = start_ns.load();
-  w.seconds = static_cast<double>(window_ns) / 1e9;
-  std::vector<std::pair<uint64_t, uint64_t>> rw, ro;
   for (ClientResult& r : results) {
-    w.committed += r.committed;
-    w.failed += r.failed;
-    w.aborts += r.aborts;
-    w.commit_ends.insert(w.commit_ends.end(), r.commit_ends.begin(),
-                         r.commit_ends.end());
-    rw.insert(rw.end(), r.rw.begin(), r.rw.end());
-    ro.insert(ro.end(), r.ro.begin(), r.ro.end());
+    for (size_t i = 0; i < n_subs; ++i) {
+      w.subs[i].committed += r.subs[i].committed;
+      w.subs[i].failed += r.subs[i].failed;
+      w.subs[i].aborts += r.subs[i].aborts;
+    }
+    w.rw.insert(w.rw.end(), r.rw.begin(), r.rw.end());
+    w.ro.insert(w.ro.end(), r.ro.begin(), r.ro.end());
   }
-  std::sort(w.commit_ends.begin(), w.commit_ends.end());
-  std::sort(rw.begin(), rw.end());
-  std::sort(ro.begin(), ro.end());
-  for (const auto& [end, lat] : rw) w.rw_ns.push_back(lat);
-  for (const auto& [end, lat] : ro) w.ro_ns.push_back(lat);
+  auto by_end = [](const Sample& x, const Sample& y) {
+    return x.end_ns < y.end_ns;
+  };
+  std::sort(w.rw.begin(), w.rw.end(), by_end);
+  std::sort(w.ro.begin(), w.ro.end(), by_end);
   return w;
+}
+
+namespace {
+
+// The sub-windows whose figures are reported (see kCleanSteal).
+std::vector<bool> KeptSubWindows(const std::vector<SubWindow>& subs) {
+  size_t clean = 0;
+  for (const SubWindow& s : subs) clean += s.steal <= kCleanSteal;
+  const size_t half = (subs.size() + 1) / 2;
+  std::vector<bool> kept(subs.size());
+  if (clean >= half) {
+    for (size_t i = 0; i < subs.size(); ++i) {
+      kept[i] = subs[i].steal <= kCleanSteal;
+    }
+    return kept;
+  }
+  std::vector<size_t> order(subs.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return subs[x].steal < subs[y].steal;
+  });
+  for (size_t i = 0; i < half; ++i) kept[order[i]] = true;
+  return kept;
+}
+
+}  // namespace
+
+Summary Summarize(const WindowResult& w) {
+  Summary s;
+  const std::vector<bool> kept = KeptSubWindows(w.subs);
+  double kept_stolen = 0;
+  for (size_t i = 0; i < w.subs.size(); ++i) {
+    const SubWindow& sub = w.subs[i];
+    if (!kept[i]) continue;
+    s.seconds += sub.seconds;
+    s.committed += sub.committed;
+    s.failed += sub.failed;
+    s.aborts += sub.aborts;
+    kept_stolen += sub.steal * sub.seconds;
+  }
+  for (const Sample& x : w.rw) {
+    if (kept[w.SubOf(x.end_ns)]) s.rw_ns.push_back(x.lat_ns);
+  }
+  for (const Sample& x : w.ro) {
+    if (kept[w.SubOf(x.end_ns)]) s.ro_ns.push_back(x.lat_ns);
+  }
+  const SubWindow total = w.Total();
+  s.kept_share = total.seconds > 0 ? s.seconds / total.seconds : 0;
+  s.steal = total.steal;
+  s.kept_steal = s.seconds > 0 ? kept_stolen / s.seconds : 0;
+  return s;
 }
 
 double PercentileNs(std::vector<uint64_t>* samples, double pct) {
@@ -121,33 +233,15 @@ double PercentileNs(std::vector<uint64_t>* samples, double pct) {
   return static_cast<double>((*samples)[rank]);
 }
 
-double SlicedTps(const WindowResult& w) {
-  const double slice_ns = w.seconds * 1e9 / kSlices;
-  std::vector<double> rates(kSlices, 0);
-  for (uint64_t end : w.commit_ends) {
-    auto i = static_cast<size_t>(static_cast<double>(end - w.start_ns) / slice_ns);
-    rates[std::min<size_t>(i, kSlices - 1)] += 1e9 / slice_ns;
-  }
-  return Median(rates);
-}
-
-double ChunkedPercentileNs(const std::vector<uint64_t>& samples, double pct) {
-  size_t chunks = std::clamp<size_t>(samples.size() / 1000, 1, kSlices);
-  std::vector<double> per_chunk;
-  for (size_t c = 0; c < chunks; ++c) {
-    std::vector<uint64_t> part(samples.begin() + samples.size() * c / chunks,
-                               samples.begin() +
-                                   samples.size() * (c + 1) / chunks);
-    per_chunk.push_back(PercentileNs(&part, pct));
-  }
-  return Median(per_chunk);
-}
-
 double Median(std::vector<double> v) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
   size_t n = v.size();
   return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+double Fastest(const std::vector<double>& v) {
+  return v.empty() ? 0 : *std::min_element(v.begin(), v.end());
 }
 
 void ResetPeakRss() {
@@ -195,17 +289,18 @@ void PrintResult(bool correct, uint64_t attempted, uint64_t failed,
   std::fflush(stdout);
 }
 
-void AddEndToEndMetrics(double setup_s, const WindowResult& w,
+void AddEndToEndMetrics(double setup_s, const Summary& s,
                         double peak_rss_mb, double recovery_us, Metrics* out) {
+  std::vector<uint64_t> rw = s.rw_ns, ro = s.ro_ns;
   out->Add("setup_s", setup_s, "s");
-  out->Add("throughput_tps", SlicedTps(w), "1/s");
-  out->Add("commit_p50_ms", ChunkedPercentileNs(w.rw_ns, 50) / 1e6, "ms");
-  out->Add("commit_p99_ms", ChunkedPercentileNs(w.rw_ns, 99) / 1e6, "ms");
-  out->Add("read_p50_ms", ChunkedPercentileNs(w.ro_ns, 50) / 1e6, "ms");
-  out->Add("read_p99_ms", ChunkedPercentileNs(w.ro_ns, 99) / 1e6, "ms");
-  double attempts = static_cast<double>(w.attempts());
+  out->Add("throughput_tps", s.tps(), "1/s");
+  out->Add("commit_p50_ms", PercentileNs(&rw, 50) / 1e6, "ms");
+  out->Add("commit_p99_ms", PercentileNs(&rw, 99) / 1e6, "ms");
+  out->Add("read_p50_ms", PercentileNs(&ro, 50) / 1e6, "ms");
+  out->Add("read_p99_ms", PercentileNs(&ro, 99) / 1e6, "ms");
+  double attempts = static_cast<double>(s.attempts());
   out->Add("abort_ratio",
-           attempts > 0 ? static_cast<double>(w.aborts + w.failed) / attempts
+           attempts > 0 ? static_cast<double>(s.aborts + s.failed) / attempts
                         : 0,
            "ratio");
   out->Add("peak_rss_mb", peak_rss_mb, "MiB");
@@ -243,7 +338,7 @@ double Ratio(double num, double den) { return den > 0 ? num / den : 0; }
 void AddCounterMetrics(const Counters& a, const Counters& b,
                        const WindowResult& w, Metrics* out) {
   const double secs = static_cast<double>(b.t_ns - a.t_ns) / 1e9;
-  const double commits = static_cast<double>(w.committed);
+  const double commits = static_cast<double>(w.Total().committed);
   const double attempts = static_cast<double>(w.attempts());
   auto d = [](uint64_t x, uint64_t y) { return static_cast<double>(y - x); };
 
@@ -466,48 +561,24 @@ bool WriteSpans(const std::vector<Tracer>& tracers, const std::string& path) {
 
 // ------------------------------------------------------------ measurement
 
-namespace {
-
-// Aggregate CPU time counters of /proc/stat: {steal, total}, in ticks.
-std::pair<uint64_t, uint64_t> CpuTicks() {
-  uint64_t v[10] = {};
-  if (FILE* f = std::fopen("/proc/stat", "r")) {
-    if (std::fscanf(f,
-                    "cpu %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64,
-                    &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6],
-                    &v[7]) != 8) {
-      v[7] = 0;
-    }
-    std::fclose(f);
-  }
-  uint64_t total = 0;
-  for (uint64_t x : v) total += x;
-  return {v[7], total};
-}
-
-}  // namespace
-
 Measurement Measure(const RunArgs& args, int clients, Database* db,
                     const server::Server* srv, const TxnBody& body) {
   Measurement m;
   std::vector<Tracer> tracers;
   double secs = args.trace ? args.seconds / 2 : args.seconds;
+  // Untimed warm-up, so that the window starts after the first touches of
+  // fresh memory and caches.
+  RunWindow(clients, kWarmupS, args.seed + 104729, false, body, &tracers);
   ResetPeakRss();
-  auto ticks0 = CpuTicks();
   Counters before = Snapshot(db, srv);
   m.window = RunWindow(clients, secs, args.seed, false, body, &tracers);
   Counters after = Snapshot(db, srv);
-  auto ticks1 = CpuTicks();
   m.peak_rss_mb = PeakRssMb();
-  // Time the hypervisor gave other guests: this machine's main source of
-  // run-to-run noise, recorded so that a run can be read against it.
-  std::printf("%s host: %.1f%% of CPU time stolen during the window\n",
-              args.workload.c_str(),
-              ticks1.second > ticks0.second
-                  ? 100.0 * static_cast<double>(ticks1.first - ticks0.first) /
-                        static_cast<double>(ticks1.second - ticks0.second)
-                  : 0.0);
+  m.summary = Summarize(m.window);
+  std::printf("%s host: %.1f%% of CPU time stolen during the window; "
+              "reported %.0f%% of it, with %.1f%% stolen\n",
+              args.workload.c_str(), 100 * m.summary.steal,
+              100 * m.summary.kept_share, 100 * m.summary.kept_steal);
   // The adaptive group-commit windows can settle differently from run to
   // run; record where each log's ended up.
   for (int e = 0; e < kNumEngines; ++e) {
@@ -525,12 +596,14 @@ Measurement Measure(const RunArgs& args, int clients, Database* db,
   WindowResult traced =
       RunWindow(clients, secs, args.seed + 7919, true, body, &tracers);
   AddSpanMetrics(tracers, &m.layer);
-  m.layer.Add("trace.overhead_tps", SlicedTps(traced) - SlicedTps(m.window),
-              "1/s");
-  m.layer.Add("samples.rw", static_cast<double>(m.window.rw_ns.size()),
+  m.layer.Add("trace.overhead_tps",
+              Summarize(traced).tps() - m.summary.tps(), "1/s");
+  m.layer.Add("samples.rw", static_cast<double>(m.summary.rw_ns.size()),
               "count");
-  m.layer.Add("samples.ro", static_cast<double>(m.window.ro_ns.size()),
+  m.layer.Add("samples.ro", static_cast<double>(m.summary.ro_ns.size()),
               "count");
+  m.layer.Add("host.steal_share", m.summary.steal, "share");
+  m.layer.Add("host.reported_share", m.summary.kept_share, "share");
   std::string path = args.trace_dir + "/" + args.workload + ".jsonl";
   if (!WriteSpans(tracers, path)) {
     std::fprintf(stderr, "perfbench: could not write spans to %s\n",
@@ -544,17 +617,18 @@ WorkloadRun Finish(const RunArgs& args, bool correct, double setup_s,
   WorkloadRun run;
   run.correct = correct;
   run.attempted = m->window.logical();
-  run.failed = m->window.failed;
+  run.failed = m->window.Total().failed;
+  const Summary& s = m->summary;
   std::printf("%s: %" PRIu64 " rw samples, %" PRIu64
-              " ro samples, %" PRIu64 " aborted attempts, %.3f s window\n",
-              args.workload.c_str(),
-              static_cast<uint64_t>(m->window.rw_ns.size()),
-              static_cast<uint64_t>(m->window.ro_ns.size()), m->window.aborts,
-              m->window.seconds);
+              " ro samples, %" PRIu64 " aborted attempts in the reported "
+              "%.1f s of a %.1f s window\n",
+              args.workload.c_str(), static_cast<uint64_t>(s.rw_ns.size()),
+              static_cast<uint64_t>(s.ro_ns.size()), s.aborts, s.seconds,
+              m->window.Total().seconds);
   if (args.trace) {
     run.metrics = std::move(m->layer);
   } else {
-    AddEndToEndMetrics(setup_s, m->window, m->peak_rss_mb, recovery_us,
+    AddEndToEndMetrics(setup_s, s, m->peak_rss_mb, recovery_us,
                        &run.metrics);
   }
   return run;
@@ -583,43 +657,16 @@ uint64_t CountLoggedTxns(Database* db) {
 
 // ---------------------------------------------------------------- restart
 
-namespace {
-
-// A log device handed to the restarted database: forwards to a copy that
-// the restart helper keeps alive.
-class ForwardingDevice : public StorageDevice {
- public:
-  explicit ForwardingDevice(std::shared_ptr<MemDevice> d) : d_(std::move(d)) {}
-  Status Append(std::span<const uint8_t> data, uint64_t* off) override {
-    return d_->Append(data, off);
-  }
-  Status WriteAt(uint64_t off, std::span<const uint8_t> data) override {
-    return d_->WriteAt(off, data);
-  }
-  Status ReadAt(uint64_t off, std::span<uint8_t> out) const override {
-    return d_->ReadAt(off, out);
-  }
-  Status Sync() override { return d_->Sync(); }
-  Status Truncate(uint64_t size) override { return d_->Truncate(size); }
-  uint64_t Size() const override { return d_->Size(); }
-  uint64_t bytes_read() const override { return d_->bytes_read(); }
-  uint64_t bytes_written() const override { return d_->bytes_written(); }
-
- private:
-  std::shared_ptr<MemDevice> d_;
-};
-
-}  // namespace
-
 Restart RestartInMemory(Database* live, DatabaseOptions options,
                         const std::vector<TableSpec>& tables) {
   Restart r;
-  std::map<std::string, std::shared_ptr<MemDevice>> logs;
+  auto logs =
+      std::make_shared<std::map<std::string, std::unique_ptr<MemDevice>>>();
   const std::pair<EngineKind, const char*> kLogs[] = {
       {EngineKind::kMem, "mem.log"}, {EngineKind::kStor, "stor.log"}};
   for (const auto& [kind, name] : kLogs) {
     const StorageDevice* src = live->engine(kind)->LogDevice();
-    auto copy = std::make_shared<MemDevice>(options.log_latency);
+    auto copy = std::make_unique<MemDevice>(options.log_latency);
     std::vector<uint8_t> buf(1 << 20);
     uint64_t size = src->Size();
     for (uint64_t off = 0; off < size;) {
@@ -631,10 +678,11 @@ Restart RestartInMemory(Database* live, DatabaseOptions options,
       }
       off += n;
     }
-    logs[name] = copy;
+    (*logs)[name] = std::move(copy);
   }
+  // The restarted database owns its logs; each is handed over once.
   options.log_device_factory = [logs](const std::string& name) {
-    return std::make_unique<ForwardingDevice>(logs.at(name));
+    return std::unique_ptr<StorageDevice>(std::move(logs->at(name)));
   };
   options.data_dir.clear();
   auto db = std::make_unique<Database>(options);

@@ -96,28 +96,73 @@ struct TxnOutcome {
   bool timed = true;
 };
 
-struct WindowResult {
-  uint64_t start_ns = 0;
-  double seconds = 0;  // measured wall time of the window
+/// The window is measured in sub-windows of kSubWindowS seconds, each with
+/// its own counts and the share of all CPUs' time the hypervisor stole
+/// from this machine during it (host steal, read from /proc/stat).
+constexpr double kSubWindowS = 0.5;
+
+struct SubWindow {
+  double seconds = 0;
   uint64_t committed = 0;
-  std::vector<uint64_t> commit_ends;  // acknowledgement times, sorted
   uint64_t failed = 0;
   uint64_t aborts = 0;
-  /// Latencies in completion order: read-write (begin -> acknowledged
-  /// commit, retries included) and read-only.
-  std::vector<uint64_t> rw_ns;
-  std::vector<uint64_t> ro_ns;
-
-  uint64_t logical() const { return committed + failed; }
-  uint64_t attempts() const { return committed + failed + aborts; }
-  double tps() const { return seconds > 0 ? committed / seconds : 0; }
+  double steal = 0;
 };
 
-/// Throughput robust to a stall of a second or two: the median, over
-/// kSlices equal slices of the window, of the commits acknowledged in the
-/// slice divided by its length.
-constexpr int kSlices = 10;
-double SlicedTps(const WindowResult& w);
+/// One latency sample: when the transaction completed, and how long it took.
+struct Sample {
+  uint64_t end_ns;
+  uint64_t lat_ns;
+};
+
+struct WindowResult {
+  uint64_t start_ns = 0;
+  uint64_t sub_ns = 0;  // length of every sub-window but possibly the last
+  std::vector<SubWindow> subs;
+  /// Read-write (begin -> acknowledged commit, retries included) and
+  /// read-only latencies, in completion order.
+  std::vector<Sample> rw, ro;
+
+  /// The whole window as one sub-window (steal weighted by length).
+  SubWindow Total() const;
+  uint64_t logical() const {
+    SubWindow t = Total();
+    return t.committed + t.failed;
+  }
+  uint64_t attempts() const { return logical() + Total().aborts; }
+  /// Sub-window of a completion time.
+  size_t SubOf(uint64_t end_ns) const;
+};
+
+/// Sub-windows in which the host stole more than kCleanSteal of the CPU
+/// time are left out of the reported figures: stolen time slows every
+/// workload by several times its own share (a stolen vCPU stalls every
+/// transaction waiting on the thread it ran, such as a log flusher), which
+/// is the machine's noise and not the program's. If fewer than half the
+/// sub-windows are clean, the least stolen half is kept. The choice looks
+/// only at steal, never at the measured figures. A stall of the program's
+/// own that waits (for log space, a lock, a flush) leaves CPUs idle, and
+/// idle CPUs are not stolen from, so such a stall stays in the figures.
+constexpr double kCleanSteal = 0.02;
+
+/// The reported part of a window: the kept sub-windows' counts, the raw
+/// latency samples of the transactions that completed in them, and the
+/// steal shares over the whole window and over the kept part.
+struct Summary {
+  double seconds = 0;
+  uint64_t committed = 0;
+  uint64_t failed = 0;
+  uint64_t aborts = 0;
+  std::vector<uint64_t> rw_ns, ro_ns;
+  double kept_share = 0;  // kept time / window time
+  double steal = 0;
+  double kept_steal = 0;
+
+  /// Commits acknowledged in the kept sub-windows / their length.
+  double tps() const { return seconds > 0 ? committed / seconds : 0; }
+  uint64_t attempts() const { return committed + failed + aborts; }
+};
+Summary Summarize(const WindowResult& w);
 
 /// A transaction body: runs one logical transaction for `client` (retrying
 /// aborts itself), tracing under txn id `txn`.
@@ -126,21 +171,16 @@ using TxnBody =
 
 /// Runs `clients` closed-loop threads for `seconds`. Each thread owns one
 /// Rng (seeded from `seed` and its index) and one Tracer (kept in
-/// `tracers`, one per client, when `trace`). Throughput counts only
-/// commits acknowledged inside the window and divides by its measured
-/// length; a transaction in flight at the deadline is finished but not
-/// counted.
+/// `tracers`, one per client, when `trace`). Only transactions acknowledged
+/// inside the window count; one in flight at the deadline is finished but
+/// not counted. The calling thread reads the host steal of every
+/// sub-window.
 WindowResult RunWindow(int clients, double seconds, uint64_t seed,
                        bool trace, const TxnBody& body,
                        std::vector<Tracer>* tracers);
 
 /// Nearest-rank percentile of raw samples (sorts in place); 0 if empty.
 double PercentileNs(std::vector<uint64_t>* samples, double pct);
-
-/// Percentile of samples in completion order, robust to a stall: the
-/// median of the percentile over up to kSlices consecutive chunks of at
-/// least 1000 samples each (so a p99 has ten samples beyond it per chunk).
-double ChunkedPercentileNs(const std::vector<uint64_t>& samples, double pct);
 
 // ---------------------------------------------------------------- metrics
 
@@ -178,6 +218,10 @@ double PeakRssMb();
 /// Median of repeated measurements.
 double Median(std::vector<double> v);
 
+/// Smallest of repeated timings of identical work, whose noise (other
+/// guests on the host, page faults) only ever adds time; 0 if empty.
+double Fastest(const std::vector<double>& v);
+
 // --------------------------------------------------------------- counters
 
 /// Every layer's public counters at one instant.
@@ -196,8 +240,8 @@ struct Counters {
 Counters Snapshot(Database* db, const server::Server* srv = nullptr);
 
 /// Counter deltas over [a, b] as per-layer metrics. Per-commit ratios use
-/// the window's committed transactions as their base, per-txn ratios its
-/// attempts; each metric's unit names its base.
+/// the whole window's committed transactions as their base, per-txn ratios
+/// its attempts; each metric's unit names its base.
 void AddCounterMetrics(const Counters& a, const Counters& b,
                        const WindowResult& w, Metrics* out);
 
@@ -210,8 +254,9 @@ void AddSpanMetrics(const std::vector<Tracer>& tracers, Metrics* out);
 constexpr size_t kSpansWrittenPerClient = 5000;
 bool WriteSpans(const std::vector<Tracer>& tracers, const std::string& path);
 
-/// The end-to-end metric set shared by every workload.
-void AddEndToEndMetrics(double setup_s, const WindowResult& w,
+/// The end-to-end metric set shared by every workload, from the reported
+/// part of the untraced window.
+void AddEndToEndMetrics(double setup_s, const Summary& s,
                         double peak_rss_mb, double recovery_us, Metrics* out);
 
 /// Transactions recorded in the database's logs: distinct gtids with a
@@ -228,7 +273,10 @@ struct TableSpec {
 /// Restart of an in-memory database: copies both engines' logs into fresh
 /// in-memory devices, opens a new Database on them with `options`,
 /// re-creates `tables` and times Recover(). `db` is null on failure.
-/// Restarts per run; recovery_us_per_txn is their median.
+/// Restarts per run; recovery_us_per_txn is the fastest, since each
+/// replays the same log (on a 4-vCPU VM, micro_cross's restarts within one
+/// run took 3.4-5.2 us/txn, while the fastest of each run stayed within 7%
+/// across four runs).
 constexpr int kRestarts = 3;
 
 struct Restart {
@@ -269,12 +317,15 @@ struct WorkloadRun {
   Metrics metrics;
 };
 
-/// The measured part of a run. Untraced: one window of `seconds`, which
-/// gives the end-to-end metrics. Traced: an untraced half whose counter
+/// The measured part of a run, after a warm-up of kWarmupS seconds of the
+/// same transactions. Untraced: one window of `seconds`, which gives the
+/// end-to-end metrics. Traced: an untraced half whose counter
 /// deltas give the per-layer counters, then a traced half whose spans give
 /// the span metrics; their throughput difference is the tracing overhead.
+constexpr double kWarmupS = 1.0;
 struct Measurement {
   WindowResult window;  // the untraced window
+  Summary summary;      // its reported part
   Metrics layer;        // traced runs only
   double peak_rss_mb = 0;  // over the window(s), before any restart
 };

@@ -43,29 +43,43 @@ transaction commits):
                 pair equal and the counters grown by exactly the acknowledged
                 commits.
 
-micro_cross and wire_durable use 16 clients, not one per core: with 4 the
-cores sit 85% idle waiting on group commit, and throughput then follows the
-host's idle-wakeup latency (13k vs 26k txn/s on micro_cross in different
-minutes, against 59k vs 70k with 16). Every run prints each log's
+micro_cross and wire_durable use 16 clients, not one per core. On a 4-vCPU
+VM, micro_cross with 4 clients ran 13k-26k txn/s in some minutes and 63k-69k
+in others, as the host's idle-wakeup latency changed; with 16 the cores
+rarely idle (57k-72k). Under emulated steal (a SCHED_FIFO process taking 20%
+of every CPU in 4 ms bursts) 4, 8 and 16 clients lost the same share, about
+a third of their throughput with p99 rising from 0.5 to 4.2 ms, so 16 clients
+are no more sensitive to steal than 4. Every run prints each log's
 group-commit regime (flushes/s, final window_us).
 
-End-to-end metrics: setup_s (median of 5 set-ups, 3 for tpcc_storres),
-throughput_tps (commits acknowledged inside the window per second: the
-median over ten equal slices of the window), commit_p50/p99_ms (read-write
-transactions, begin to acknowledged commit, retries included), read_p50/p99_ms
-(read-only transactions: micro_cross's read-only half, tpcc Order-Status;
-wire_durable: BEGIN sent to the read EXEC answered), abort_ratio (aborted or
-failed attempts / attempts), peak_rss_mb (peak RSS during the window), recovery_us_per_txn (Recover() wall time /
-transactions in the logs, median of 3 restarts). Percentiles come from raw
-samples: the median of the percentile over up to ten consecutive chunks of at
-least 1000 samples. Sample counts are printed.
+End-to-end metrics: setup_s (median of 9 set-ups, 3 for tpcc_storres),
+throughput_tps (commits acknowledged inside the reported window / its
+length), commit_p50/p99_ms (read-write transactions, begin to acknowledged
+commit, retries included), read_p50/p99_ms (read-only transactions:
+micro_cross's read-only half, tpcc Stock-Level; wire_durable: BEGIN sent to
+the read EXEC answered), abort_ratio (aborted or failed attempts / attempts),
+peak_rss_mb (peak RSS during the window), recovery_us_per_txn (Recover() wall
+time / transactions in the logs, the fastest of 3 restarts that replay the
+same log). Percentiles are nearest-rank over the raw samples of the reported
+window. Sample counts are printed. The window follows a 1 s untimed warm-up
+of the same transactions.
+
+The reported window: the window is cut into 0.5 s sub-windows, and the host
+CPU steal of each (time the hypervisor gave other guests, from /proc/stat)
+is read. Sub-windows with more than 2% steal are left out, since steal slows
+every workload here by several times its own share; if that would leave out
+more than half, the least stolen half is reported. The choice never looks at
+the measured figures, and a stall of the program's own idles the CPUs, which
+are then not stolen from, so it stays in the figures. Every run prints the
+steal over the whole window, the share reported and the steal in it.
 
 Per-layer metrics (traced runs): counter deltas of every layer's public
 stats() over an untraced half window, span p50s and self times from a traced
 half window (spans recorded by the benchmark around each public call; the
 first 5000 per client are written to .bench_build/traces/<workload>.jsonl),
-and trace.overhead_tps = traced minus untraced throughput. A metric a
-workload does not exercise reads 0.
+trace.overhead_tps = traced minus untraced throughput, and the untraced
+half's host.steal_share and host.reported_share. A metric a workload does
+not exercise reads 0.
 
 Out of scope: repl (attaching a replica changes the primary's load; the
 repl_lag bench covers it), fsync on a dedicated real disk, and single-client

@@ -10,16 +10,22 @@
 //     delays within one bucket of common/histogram.h (6.25%), and a
 //     throughput no higher than the delays allow. This guards against a
 //     client that waits on the socket for a frame it has already buffered,
-//     and against counting commits acknowledged after the window.
+//     and against counting commits acknowledged after the window. The
+//     figures checked are the ones a run reports.
+//  3. Reporting: on synthetic windows, a stall of the program's own shows
+//     in the reported throughput and p99, while sub-windows in which the
+//     host stole CPU time are left out.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -36,6 +42,15 @@ int failures = 0;
 void Expect(bool ok, const char* what) {
   std::printf("%s: %s\n", ok ? "PASS" : "FAIL", what);
   if (!ok) ++failures;
+}
+
+double Value(const Metrics& m, const std::string& name) {
+  for (const Metric& x : m.items()) {
+    if (x.name == name) return x.value;
+  }
+  std::printf("FAIL: no metric %s\n", name.c_str());
+  ++failures;
+  return 0;
 }
 
 // ------------------------------------------------------------- torn pairs
@@ -207,26 +222,105 @@ void KnownDelayCheck() {
                              WireBody(&conns, 1000, &acked, &torn), &tracers);
   for (auto& c : conns) c->Close();
 
-  double read_p50 = PercentileNs(&w.ro_ns, 50);
-  double txn_p50 = PercentileNs(&w.rw_ns, 50);
+  // The figures exactly as a run reports them.
+  Summary s = Summarize(w);
+  Metrics m;
+  AddEndToEndMetrics(0, s, 0, 0, &m);
+  const double read_p50 = Value(m, "read_p50_ms") * 1e6;
+  const double txn_p50 = Value(m, "commit_p50_ms") * 1e6;
+  const double tps = Value(m, "throughput_tps");
   double mean = 0;
-  for (uint64_t v : w.rw_ns) mean += static_cast<double>(v);
-  mean = w.rw_ns.empty() ? 0 : mean / static_cast<double>(w.rw_ns.size());
+  for (uint64_t v : s.rw_ns) mean += static_cast<double>(v);
+  mean = s.rw_ns.empty() ? 0 : mean / static_cast<double>(s.rw_ns.size());
   std::printf("stub: read p50 %.1f us (delay %.0f), txn p50 %.1f us (delay "
               "%.0f), %" PRIu64 " commits, %.1f txn/s\n",
               read_p50 / 1e3, read_ns / 1e3, txn_p50 / 1e3, txn_ns / 1e3,
-              w.committed, w.tps());
-  Expect(w.committed > 0 && w.failed == 0, "stub transactions commit");
+              s.committed, tps);
+  Expect(s.committed > 0 && w.Total().failed == 0, "stub transactions commit");
   Expect(read_p50 >= read_ns && read_p50 <= read_ns * kBucket,
          "read latency = stub delay, within one histogram bucket");
   Expect(txn_p50 >= txn_ns && txn_p50 <= txn_ns * kBucket,
          "commit latency = stub delays, within one histogram bucket");
-  Expect(w.tps() <= kConns * 1e9 / txn_ns,
+  Expect(tps <= kConns * 1e9 / txn_ns,
          "throughput no higher than the delays allow");
-  Expect(mean > 0 && w.tps() >= kConns * 1e9 / mean / kBucket,
+  Expect(mean > 0 && tps >= kConns * 1e9 / mean / kBucket,
          "throughput matches the measured latency");
-  Expect(acked.load() >= w.committed,
-         "only acknowledged commits inside the window count");
+  // Each client may leave out the one transaction in flight at the
+  // deadline; every other acknowledged commit lies inside the window.
+  const uint64_t committed = w.Total().committed;
+  Expect(acked.load() >= committed && acked.load() - committed <= kConns,
+         "every commit acknowledged inside the window counts");
+}
+
+// -------------------------------------------------------------- reporting
+
+// A synthetic window: 20 sub-windows of 0.5 s, 1000 commits of 1 ms each,
+// no steal.
+WindowResult SyntheticWindow() {
+  WindowResult w;
+  w.start_ns = 1000;
+  w.sub_ns = 500000000;
+  w.subs.resize(20);
+  for (size_t i = 0; i < w.subs.size(); ++i) {
+    w.subs[i].seconds = 0.5;
+    w.subs[i].committed = 1000;
+    for (int k = 0; k < 1000; ++k) {
+      w.rw.push_back({w.start_ns + i * w.sub_ns + 1 + k, 1000000});
+    }
+  }
+  return w;
+}
+
+// The program stalls in `sub`: only 200 transactions complete there, each
+// after 10 ms.
+void Stall(WindowResult* w, size_t sub) {
+  w->subs[sub].committed = 200;
+  auto in_sub = [&](const Sample& x) { return w->SubOf(x.end_ns) == sub; };
+  w->rw.erase(std::remove_if(w->rw.begin(), w->rw.end(), in_sub),
+              w->rw.end());
+  for (int k = 0; k < 200; ++k) {
+    w->rw.push_back({w->start_ns + sub * w->sub_ns + 1 + k, 10000000});
+  }
+  std::sort(w->rw.begin(), w->rw.end(), [](const Sample& x, const Sample& y) {
+    return x.end_ns < y.end_ns;
+  });
+}
+
+void ReportingCheck() {
+  Summary quiet = Summarize(SyntheticWindow());
+  Expect(quiet.kept_share == 1 && quiet.tps() == 2000,
+         "quiet host: the whole window is reported");
+
+  // A program stall in 2 of 20 sub-windows (a tenth of the window: a median
+  // over slices or chunks of it would not move) lowers the throughput and
+  // lifts p99 to the stalled transactions' 10 ms.
+  WindowResult stalled = SyntheticWindow();
+  Stall(&stalled, 4);
+  Stall(&stalled, 5);
+  Metrics m;
+  AddEndToEndMetrics(0, Summarize(stalled), 0, 0, &m);
+  Expect(std::abs(Value(m, "throughput_tps") - 1840) < 1e-6,
+         "a program stall lowers the reported throughput");
+  Expect(Value(m, "commit_p99_ms") == 10,
+         "a program stall shows in the reported p99");
+
+  // Steal in 5 sub-windows: they are left out, a stall elsewhere is not.
+  WindowResult stolen = stalled;
+  for (size_t i = 10; i < 15; ++i) {
+    stolen.subs[i].steal = 0.3;
+    stolen.subs[i].committed = 100;
+  }
+  Summary st = Summarize(stolen);
+  Expect(st.kept_share == 0.75 && st.committed == 13400,
+         "stolen sub-windows are left out, stalled ones kept");
+
+  // Steal everywhere: the least stolen half is reported.
+  for (size_t i = 0; i < stolen.subs.size(); ++i) {
+    stolen.subs[i].steal = 0.05 + 0.01 * static_cast<double>(i % 4);
+  }
+  Summary all = Summarize(stolen);
+  Expect(all.kept_share == 0.5 && all.kept_steal < all.steal,
+         "steal everywhere: the least stolen half is reported");
 }
 
 }  // namespace
@@ -243,6 +337,7 @@ int main() {
   Expect(torn > 0, "Skeena off: the torn-pair check trips");
 
   KnownDelayCheck();
+  ReportingCheck();
   std::printf("%s\n", failures == 0 ? "selftest passed" : "selftest FAILED");
   return failures == 0 ? 0 : 1;
 }
