@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "log/log_manager.h"
-#include "log/uring_queue.h"
 
 namespace skeena::bench {
 namespace {
@@ -93,8 +92,8 @@ void Run() {
 
   // ---- Raw-speed log path: flush backend x group-commit window --------
   // Engine logs on real files (tables stay in memory), comparing the
-  // synchronous pwrite file device against the segmented writer with and
-  // without io_uring, across fixed and adaptive commit windows.
+  // synchronous pwrite file device against the segmented writer, across
+  // fixed and adaptive commit windows.
   auto backend_tput = std::make_shared<ResultMatrix>(
       "Ablation: log flush backend x commit window (commits/s)", "Backend");
   auto backend_p99 = std::make_shared<ResultMatrix>(
@@ -112,13 +111,6 @@ void Run() {
       {"sync pwrite file", MicroConfig::LogDisk::kFilePwrite},
       {"segmented", MicroConfig::LogDisk::kSegmented},
   };
-  if (UringQueue::Supported()) {
-    backends.push_back(
-        {"segmented + io_uring", MicroConfig::LogDisk::kSegmentedUring});
-  } else {
-    std::printf(
-        "note: io_uring unavailable (kernel/build); backend row skipped\n");
-  }
 
   struct Window {
     std::string label;
@@ -136,7 +128,7 @@ void Run() {
   for (const auto& b : backends) {
     for (const auto& w : windows) {
       RegisterCell(
-          "AblationLogBackend/" + b.label + "/" + w.label, [=, &cache] {
+          "AblationFlushBackend/" + b.label + "/" + w.label, [=, &cache] {
             MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
             cfg.read_pct = 80;
             cfg.stor_pct = 50;

@@ -42,7 +42,7 @@ struct MicroConfig {
   /// default in-memory log devices; the others put ONLY the engine logs on
   /// real files under a fresh temp dir (tables stay in memory so the log
   /// path is what's measured).
-  enum class LogDisk { kNone, kFilePwrite, kSegmented, kSegmentedUring };
+  enum class LogDisk { kNone, kFilePwrite, kSegmented };
   LogDisk log_disk = LogDisk::kNone;
 
   /// Group-commit window knobs, applied to both engines' logs (the

@@ -1,5 +1,7 @@
 #include "core/database.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,49 +14,58 @@ namespace skeena {
 
 namespace {
 
+/// Hard stop for an on-disk path that cannot be opened. Running on a
+/// MemDevice instead would acknowledge commits that vanish at restart.
+[[noreturn]] void DieUnopenable(const std::string& path, const Status& st) {
+  std::fprintf(stderr, "Database: cannot open %s: %s\n", path.c_str(),
+               st.ToString().c_str());
+  std::abort();
+}
+
 std::unique_ptr<StorageDevice> MakeDevice(const std::string& data_dir,
                                           const std::string& name,
                                           DeviceLatency latency) {
   if (data_dir.empty()) {
     return std::make_unique<MemDevice>(latency);
   }
-  std::filesystem::create_directories(data_dir);
-  auto dev = FileDevice::Open(data_dir + "/" + name, latency);
-  // Database construction cannot fail gracefully here; fall back to memory
-  // on I/O error (surfaced via the device type in tests).
-  if (!dev.ok()) return std::make_unique<MemDevice>(latency);
+  const std::string path = data_dir + "/" + name;
+  auto dev = FileDevice::Open(path, latency);
+  if (!dev.ok()) DieUnopenable(path, dev.status());
   return std::move(dev.value());
 }
 
-/// Builds an engine's WAL device per DatabaseOptions::log_backend. The
-/// segmented backend opens a *directory* named after the log
-/// ("<data_dir>/mem.log/" holding wal.NNNNNNNN.seg files); if that path is
-/// a plain file left by a kFile run, opening the directory fails and we
-/// fall back to the legacy single-file layout so old data dirs keep
-/// working.
+/// Builds an engine's WAL device: a segment directory named after the log
+/// ("<data_dir>/mem.log/" holding wal.NNNNNNNN.seg files). A data dir from
+/// the older single-file layout has a plain file at that path, so the
+/// directory open fails and the file is reopened as a FileDevice.
 std::unique_ptr<StorageDevice> MakeLogDevice(const DatabaseOptions& options,
                                              const std::string& name) {
   if (options.log_device_factory) return options.log_device_factory(name);
   if (options.data_dir.empty()) {
     return std::make_unique<MemDevice>(options.log_latency);
   }
-  std::filesystem::create_directories(options.data_dir);
-  if (options.log_backend == DatabaseOptions::LogBackend::kSegmented) {
-    SegmentedLogDevice::Options seg;
-    seg.segment_bytes = options.log_segment_bytes;
-    seg.use_io_uring = options.log_io_uring;
-    seg.use_direct_io = options.log_direct_io;
-    seg.latency = options.log_latency;
-    auto dev = SegmentedLogDevice::Open(options.data_dir + "/" + name, seg);
-    if (dev.ok()) return std::move(dev.value());
-  }
-  return MakeDevice(options.data_dir, name, options.log_latency);
+  const std::string path = options.data_dir + "/" + name;
+  SegmentedLogDevice::Options seg;
+  seg.latency = options.log_latency;
+  auto dev = SegmentedLogDevice::Open(path, seg);
+  if (dev.ok()) return std::move(dev.value());
+  auto legacy = FileDevice::Open(path, options.log_latency);
+  if (!legacy.ok()) DieUnopenable(path, dev.status());
+  return std::move(legacy.value());
 }
 
 }  // namespace
 
 Database::Database(DatabaseOptions options)
     : options_(std::move(options)), csr_(options_.csr, &epoch_) {
+  // The one place data_dir is created: every device and the catalog below
+  // assume it exists.
+  if (!options_.data_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options_.data_dir, ec);
+    if (ec) DieUnopenable(options_.data_dir, Status::IOError(ec.message()));
+  }
+
   // Table-space devices for stordb.
   if (!options_.data_dir.empty() && !options_.stor.device_factory) {
     std::string dir = options_.data_dir;

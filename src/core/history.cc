@@ -231,10 +231,15 @@ class Checker {
           bool want_found = w->kind == HistOpKind::kPut;
           if (op.found != want_found ||
               (want_found && op.found && op.value != w->value)) {
-            Add(SiViolation::Kind::kReadYourWrites, t.gtid, 0,
-                "T" + std::to_string(t.gtid) + " read " + KeyStr(kid) +
-                    " after own write and saw " +
-                    (op.found ? "\"" + op.value + "\"" : "<absent>"));
+            std::ostringstream os;
+            os << 'T' << t.gtid << " read " << KeyStr(kid)
+               << " after own write and saw ";
+            if (op.found) {
+              os << '"' << op.value << '"';
+            } else {
+              os << "<absent>";
+            }
+            Add(SiViolation::Kind::kReadYourWrites, t.gtid, 0, os.str());
           }
           continue;
         }
@@ -317,14 +322,13 @@ class Checker {
             continue;
           }
           if (cur.write_snap < prev.cts) {
+            std::ostringstream os;
+            os << 'T' << cur.txn->gtid << " overwrote " << KeyStr(kid) << '@'
+               << e << " committed by T" << prev.txn->gtid
+               << " (cts=" << prev.cts << ") it could not see (snap="
+               << cur.write_snap << ')';
             Add(SiViolation::Kind::kLostUpdate, cur.txn->gtid,
-                prev.txn->gtid,
-                "T" + std::to_string(cur.txn->gtid) + " overwrote " +
-                    KeyStr(kid) + "@" + std::to_string(e) +
-                    " committed by T" + std::to_string(prev.txn->gtid) +
-                    " (cts=" + std::to_string(prev.cts) +
-                    ") it could not see (snap=" +
-                    std::to_string(cur.write_snap) + ")");
+                prev.txn->gtid, os.str());
           }
         }
       }

@@ -8,19 +8,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 
 namespace skeena {
 namespace {
 
-constexpr uint64_t kDirectAlign = 4096;
+constexpr uint64_t kSegmentAlign = 4096;  // segment_bytes rounds up to this
 constexpr char kSegmentPrefix[] = "wal.";
 constexpr char kSegmentSuffix[] = ".seg";
-constexpr unsigned kUringEntries = 64;
 
-uint64_t AlignDown(uint64_t v, uint64_t a) { return v & ~(a - 1); }
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) & ~(a - 1); }
 
 ssize_t PreadFully(int fd, uint8_t* buf, size_t count, off_t offset) {
@@ -62,8 +59,8 @@ SegmentedLogDevice::SegmentedLogDevice(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
       segment_bytes_(AlignUp(std::max<uint64_t>(options.segment_bytes,
-                                                2 * kDirectAlign),
-                             kDirectAlign)) {}
+                                                2 * kSegmentAlign),
+                             kSegmentAlign)) {}
 
 Result<std::unique_ptr<SegmentedLogDevice>> SegmentedLogDevice::Open(
     const std::string& dir) {
@@ -113,21 +110,14 @@ Result<std::unique_ptr<SegmentedLogDevice>> SegmentedLogDevice::Open(
     device->logical_size_ =
         static_cast<uint64_t>(count) * device->segment_bytes_;
   }
-
-  if (options.use_io_uring && UringQueue::Supported()) {
-    auto ring = UringQueue::Create(kUringEntries);
-    if (ring.ok()) device->uring_ = std::move(ring).value();
-  }
   return device;
 }
 
 SegmentedLogDevice::~SegmentedLogDevice() {
   for (Segment& seg : segments_) {
-    if (seg.write_fd >= 0) ::close(seg.write_fd);
-    if (seg.read_fd >= 0 && seg.read_fd != seg.write_fd) ::close(seg.read_fd);
+    if (seg.fd >= 0) ::close(seg.fd);
   }
   if (dir_fd_ >= 0) ::close(dir_fd_);
-  std::free(direct_buf_);
 }
 
 std::string SegmentedLogDevice::SegmentPath(size_t index) const {
@@ -139,38 +129,20 @@ std::string SegmentedLogDevice::SegmentPath(size_t index) const {
 
 Status SegmentedLogDevice::OpenSegmentLocked(size_t index, bool create) {
   const std::string path = SegmentPath(index);
-  int flags = O_RDWR | (create ? O_CREAT : 0);
-  int write_fd = -1;
-  bool direct = false;
-  if (options_.use_direct_io) {
-    write_fd = ::open(path.c_str(), flags | O_DIRECT, 0644);
-    direct = write_fd >= 0;
-  }
-  if (write_fd < 0) {
-    // tmpfs (and some filesystems) reject O_DIRECT with EINVAL; buffered
-    // fds keep the same correctness, just through the page cache.
-    write_fd = ::open(path.c_str(), flags, 0644);
-  }
-  if (write_fd < 0) {
+  const int fd = ::open(path.c_str(), O_RDWR | (create ? O_CREAT : 0), 0644);
+  if (fd < 0) {
     return Status::IOError("open failed: " + path);
   }
   // Preallocate to the fixed size (idempotent; also heals a segment whose
   // creating process crashed before sizing it). The extended range reads
   // as zeros == end-of-log for the frame format.
-  if (::ftruncate(write_fd, static_cast<off_t>(segment_bytes_)) != 0) {
-    ::close(write_fd);
+  if (::ftruncate(fd, static_cast<off_t>(segment_bytes_)) != 0) {
+    ::close(fd);
     return Status::IOError("ftruncate failed: " + path);
   }
-  int read_fd = ::open(path.c_str(), O_RDONLY);
-  if (read_fd < 0) {
-    ::close(write_fd);
-    return Status::IOError("open (read) failed: " + path);
-  }
   if (index >= segments_.size()) segments_.resize(index + 1);
-  segments_[index].write_fd = write_fd;
-  segments_[index].read_fd = read_fd;
+  segments_[index].fd = fd;
   segments_[index].dirty = true;  // preallocation metadata wants a sync
-  if (direct) direct_effective_ = true;
   if (create) {
     // The new dirent must survive a crash for the segment to be found on
     // reopen; recovery tolerates a missing *tail* segment (it just sees a
@@ -182,7 +154,7 @@ Status SegmentedLogDevice::OpenSegmentLocked(size_t index, bool create) {
 
 Status SegmentedLogDevice::EnsureSegmentsLocked(size_t count) {
   for (size_t i = 0; i < count; ++i) {
-    if (i < segments_.size() && segments_[i].write_fd >= 0) continue;
+    if (i < segments_.size() && segments_[i].fd >= 0) continue;
     SKEENA_RETURN_NOT_OK(OpenSegmentLocked(i, /*create=*/true));
   }
   return Status::OK();
@@ -194,71 +166,10 @@ Status SegmentedLogDevice::PwritePieceLocked(Segment& seg, uint64_t file_off,
   size_t remaining = data.size();
   off_t at = static_cast<off_t>(file_off);
   while (remaining > 0) {
-    ssize_t n = ::pwrite(seg.write_fd, p, remaining, at);
+    ssize_t n = ::pwrite(seg.fd, p, remaining, at);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("pwrite failed: " + dir_);
-    }
-    if (n == 0) return Status::IOError("pwrite wrote nothing: " + dir_);
-    p += n;
-    at += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  seg.dirty = true;
-  return Status::OK();
-}
-
-Status SegmentedLogDevice::DirectWriteLocked(Segment& seg, uint64_t file_off,
-                                             std::span<const uint8_t> data) {
-  // O_DIRECT requires 4 KiB-aligned offset, length and buffer. Stage the
-  // write in the aligned scratch; the head block (the tail block of the
-  // previous batch) and the final partial block are read back from the
-  // segment and rewritten whole (tail-block rewrite).
-  const uint64_t a_off = AlignDown(file_off, kDirectAlign);
-  const uint64_t a_end =
-      std::min(AlignUp(file_off + data.size(), kDirectAlign), segment_bytes_);
-  const size_t a_len = static_cast<size_t>(a_end - a_off);
-  if (a_len > direct_buf_len_) {
-    std::free(direct_buf_);
-    direct_buf_len_ = AlignUp(a_len, kDirectAlign);
-    direct_buf_ = static_cast<uint8_t*>(
-        std::aligned_alloc(kDirectAlign, direct_buf_len_));
-    if (direct_buf_ == nullptr) {
-      direct_buf_len_ = 0;
-      return Status::IOError("aligned_alloc failed");
-    }
-  }
-  const size_t head = static_cast<size_t>(file_off - a_off);
-  const size_t tail_start = head + data.size();
-  if (head > 0) {
-    // Only the head block needs its old bytes back; everything after the
-    // payload inside the last block is past the log tail (zeros on a
-    // preallocated segment), but re-reading the whole remainder is one
-    // pread and unconditionally correct.
-    if (PreadFully(seg.read_fd, direct_buf_, head,
-                   static_cast<off_t>(a_off)) !=
-        static_cast<ssize_t>(head)) {
-      return Status::IOError("tail-block read failed: " + dir_);
-    }
-  }
-  if (tail_start < a_len) {
-    if (PreadFully(seg.read_fd, direct_buf_ + tail_start,
-                   a_len - tail_start,
-                   static_cast<off_t>(a_off + tail_start)) !=
-        static_cast<ssize_t>(a_len - tail_start)) {
-      return Status::IOError("tail-block read failed: " + dir_);
-    }
-  }
-  std::memcpy(direct_buf_ + head, data.data(), data.size());
-
-  const uint8_t* p = direct_buf_;
-  size_t remaining = a_len;
-  off_t at = static_cast<off_t>(a_off);
-  while (remaining > 0) {
-    ssize_t n = ::pwrite(seg.write_fd, p, remaining, at);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("O_DIRECT pwrite failed: " + dir_);
     }
     if (n == 0) return Status::IOError("pwrite wrote nothing: " + dir_);
     p += n;
@@ -275,71 +186,18 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
   const size_t last_seg = static_cast<size_t>((end - 1) / segment_bytes_);
   SKEENA_RETURN_NOT_OK(EnsureSegmentsLocked(last_seg + 1));
 
-  struct Piece {
-    size_t seg;
-    uint64_t file_off;
-    const uint8_t* src;
-    size_t len;
-  };
-  Piece pieces[2 + 1];  // a flush batch spans at most a few segments
-  size_t n_pieces = 0;
-  std::vector<Piece> overflow;
   uint64_t at = offset;
   const uint8_t* src = data.data();
   while (at < end) {
-    const size_t seg = static_cast<size_t>(at / segment_bytes_);
     const uint64_t file_off = at % segment_bytes_;
     const uint64_t len =
         std::min<uint64_t>(segment_bytes_ - file_off, end - at);
-    Piece piece{seg, file_off, src, static_cast<size_t>(len)};
-    if (n_pieces < std::size(pieces)) {
-      pieces[n_pieces++] = piece;
-    } else {
-      overflow.push_back(piece);
-    }
+    SKEENA_RETURN_NOT_OK(
+        PwritePieceLocked(segments_[static_cast<size_t>(at / segment_bytes_)],
+                          file_off, std::span(src, static_cast<size_t>(len))));
     at += len;
     src += len;
   }
-  auto each_piece = [&](auto&& fn) -> Status {
-    for (size_t i = 0; i < n_pieces; ++i) SKEENA_RETURN_NOT_OK(fn(pieces[i]));
-    for (const Piece& piece : overflow) SKEENA_RETURN_NOT_OK(fn(piece));
-    return Status::OK();
-  };
-
-  // io_uring path: queue every (non-O_DIRECT) piece and submit the batch
-  // with one syscall. Any ring failure falls through to the synchronous
-  // path below — offsets make the redo idempotent.
-  if (uring_ != nullptr && !direct_effective_) {
-    bool queued_all = true;
-    Status st = each_piece([&](const Piece& piece) -> Status {
-      Segment& seg = segments_[piece.seg];
-      if (!uring_->PushWrite(seg.write_fd, piece.src,
-                             static_cast<unsigned>(piece.len),
-                             piece.file_off)) {
-        queued_all = false;
-      } else {
-        seg.dirty = true;
-      }
-      return Status::OK();
-    });
-    (void)st;
-    Status submit = uring_->SubmitAndWait();
-    if (queued_all && submit.ok()) {
-      bytes_written_ += data.size();
-      if (end > logical_size_) logical_size_ = end;
-      return Status::OK();
-    }
-  }
-
-  SKEENA_RETURN_NOT_OK(each_piece([&](const Piece& piece) -> Status {
-    Segment& seg = segments_[piece.seg];
-    if (direct_effective_) {
-      return DirectWriteLocked(seg, piece.file_off,
-                               std::span(piece.src, piece.len));
-    }
-    return PwritePieceLocked(seg, piece.file_off,
-                             std::span(piece.src, piece.len));
-  }));
   bytes_written_ += data.size();
   if (end > logical_size_) logical_size_ = end;
   return Status::OK();
@@ -382,7 +240,7 @@ Status SegmentedLogDevice::ReadAt(uint64_t offset,
       const uint64_t file_off = at % segment_bytes_;
       const uint64_t len =
           std::min<uint64_t>(segment_bytes_ - file_off, end - at);
-      if (PreadFully(segments_[seg].read_fd, dst, static_cast<size_t>(len),
+      if (PreadFully(segments_[seg].fd, dst, static_cast<size_t>(len),
                      static_cast<off_t>(file_off)) !=
           static_cast<ssize_t>(len)) {
         return Status::IOError("pread failed: " + dir_);
@@ -399,21 +257,9 @@ Status SegmentedLogDevice::ReadAt(uint64_t offset,
 Status SegmentedLogDevice::Sync() {
   {
     MutexLock guard(mu_);
-    if (uring_ != nullptr) {
-      bool queued_all = true;
-      for (Segment& seg : segments_) {
-        if (seg.dirty && !uring_->PushFsync(seg.write_fd)) queued_all = false;
-      }
-      if (queued_all && uring_->SubmitAndWait().ok()) {
-        for (Segment& seg : segments_) seg.dirty = false;
-        SpinWaitNs(options_.latency.sync_ns);
-        return Status::OK();
-      }
-      // Ring hiccup: fall through and sync synchronously.
-    }
     for (Segment& seg : segments_) {
       if (!seg.dirty) continue;
-      if (::fdatasync(seg.write_fd) != 0) {
+      if (::fdatasync(seg.fd) != 0) {
         return Status::IOError("fdatasync failed: " + dir_);
       }
       seg.dirty = false;
@@ -429,9 +275,7 @@ Status SegmentedLogDevice::Truncate(uint64_t size) {
       std::max<size_t>(1, static_cast<size_t>((size + segment_bytes_ - 1) /
                                               segment_bytes_));
   for (size_t i = keep; i < segments_.size(); ++i) {
-    Segment& seg = segments_[i];
-    if (seg.write_fd >= 0) ::close(seg.write_fd);
-    if (seg.read_fd >= 0) ::close(seg.read_fd);
+    if (segments_[i].fd >= 0) ::close(segments_[i].fd);
     ::unlink(SegmentPath(i).c_str());
   }
   if (keep < segments_.size()) {
@@ -448,8 +292,8 @@ Status SegmentedLogDevice::Truncate(uint64_t size) {
   Segment& tail = segments_[keep - 1];
   if (tail_valid < segment_bytes_) {
     const std::string path = SegmentPath(keep - 1);
-    if (::ftruncate(tail.write_fd, static_cast<off_t>(tail_valid)) != 0 ||
-        ::ftruncate(tail.write_fd, static_cast<off_t>(segment_bytes_)) != 0) {
+    if (::ftruncate(tail.fd, static_cast<off_t>(tail_valid)) != 0 ||
+        ::ftruncate(tail.fd, static_cast<off_t>(segment_bytes_)) != 0) {
       return Status::IOError("ftruncate failed: " + path);
     }
     tail.dirty = true;

@@ -8,7 +8,6 @@
 
 #include "common/thread_annotations.h"
 #include "log/storage_device.h"
-#include "log/uring_queue.h"
 
 namespace skeena {
 
@@ -30,25 +29,15 @@ namespace skeena {
 /// bound (all preallocated bytes) and `LogManager`'s tail scan + Truncate
 /// re-establishes the logical end.
 ///
-/// Write backends, per flush batch, all offset-addressed and idempotent:
-///  * pwrite (always available);
-///  * io_uring when enabled and the kernel supports it — the batch's
-///    segment pieces and the fdatasync submit as one ring batch with a
-///    single syscall, falling back to pwrite on any ring error;
-///  * optional O_DIRECT: writes go through a 4 KiB-aligned staging buffer;
-///    a batch whose head is mid-block re-reads that tail block and
-///    rewrites it whole (tail-block rewrite). Falls back to buffered fds
-///    when the filesystem rejects O_DIRECT (tmpfs does).
+/// Writes are buffered pwrite calls, one per segment piece, and `Sync` is
+/// one fdatasync per dirty segment. That is the only write path: a
+/// kernel-ring backend won at most 4 of 10 alternating `ablation_commit`
+/// pairs at any commit window and an unbuffered one was never enabled
+/// (DESIGN.md, "Log write path"), so each segment is one read-write fd.
 class SegmentedLogDevice : public StorageDevice {
  public:
   struct Options {
     uint64_t segment_bytes = 8 * 1024 * 1024;  // rounded up to 4 KiB
-    /// Batch writes + syncs through io_uring when built in and the kernel
-    /// cooperates; silently falls back to pwrite otherwise.
-    bool use_io_uring = false;
-    /// Open segment write fds with O_DIRECT (4 KiB-aligned staging);
-    /// silently falls back to buffered writes where unsupported.
-    bool use_direct_io = false;
     DeviceLatency latency = DeviceLatency::Tmpfs();
   };
 
@@ -75,14 +64,10 @@ class SegmentedLogDevice : public StorageDevice {
   const std::string& dir() const { return dir_; }
   uint64_t segment_bytes() const { return segment_bytes_; }
   uint64_t segment_count() const;
-  /// Effective backends after runtime probing (for tests and bench labels).
-  bool using_io_uring() const { return uring_ != nullptr; }
-  bool using_direct_io() const { return direct_effective_; }
 
  private:
   struct Segment {
-    int write_fd = -1;
-    int read_fd = -1;
+    int fd = -1;
     bool dirty = false;  // written since the last Sync
   };
 
@@ -94,8 +79,6 @@ class SegmentedLogDevice : public StorageDevice {
       SKEENA_REQUIRES(mu_);
   Status PwritePieceLocked(Segment& seg, uint64_t file_off,
                            std::span<const uint8_t> data) SKEENA_REQUIRES(mu_);
-  Status DirectWriteLocked(Segment& seg, uint64_t file_off,
-                           std::span<const uint8_t> data) SKEENA_REQUIRES(mu_);
   std::string SegmentPath(size_t index) const;
 
   const std::string dir_;
@@ -106,11 +89,6 @@ class SegmentedLogDevice : public StorageDevice {
   std::vector<Segment> segments_ SKEENA_GUARDED_BY(mu_);
   uint64_t logical_size_ SKEENA_GUARDED_BY(mu_) = 0;
   int dir_fd_ = -1;  // fsynced after segment create/unlink
-  bool direct_effective_ = false;
-  std::unique_ptr<UringQueue> uring_;
-  // O_DIRECT staging: 4 KiB-aligned scratch, grown to the largest batch.
-  uint8_t* direct_buf_ SKEENA_GUARDED_BY(mu_) = nullptr;
-  size_t direct_buf_len_ SKEENA_GUARDED_BY(mu_) = 0;
 
   mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
   uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;

@@ -11,7 +11,6 @@
 #include "log/log_records.h"
 #include "log/segmented_device.h"
 #include "log/storage_device.h"
-#include "log/uring_queue.h"
 
 namespace skeena {
 namespace {
@@ -549,78 +548,6 @@ TEST(SegmentedDeviceTest, TruncateDropsLaterSegmentsAndRezerosTail) {
       dev->ReadAt(keep, {reinterpret_cast<uint8_t*>(out.data()), 5}).ok());
   EXPECT_EQ(out, "again");
   dev.reset();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SegmentedDeviceTest, UringBackendRoundTrips) {
-  if (!UringQueue::Supported()) {
-    GTEST_SKIP() << "io_uring not available (kernel or build)";
-  }
-  std::string dir = FreshDir("skeena_seg_uring");
-  SegmentedLogDevice::Options o;
-  o.segment_bytes = 8 * 1024;
-  o.use_io_uring = true;
-  Lsn end = 0;
-  {
-    auto dev = SegmentedLogDevice::Open(dir, o);
-    ASSERT_TRUE(dev.ok());
-    ASSERT_TRUE((*dev)->using_io_uring());
-    LogManager log(std::move(dev.value()));
-    for (int i = 0; i < 200; ++i) {
-      Lsn lsn = log.Append(Bytes("uring-rec-" + std::to_string(i)));
-      if (i % 32 == 0) log.WaitDurable(lsn);
-    }
-    ASSERT_TRUE(log.Flush().ok());
-    end = log.CurrentLsn();
-  }
-  // Read back through the plain pread path: ring-written bytes are just
-  // bytes on disk.
-  SegmentedLogDevice::Options plain;
-  plain.segment_bytes = o.segment_bytes;
-  auto dev = SegmentedLogDevice::Open(dir, plain);
-  ASSERT_TRUE(dev.ok());
-  LogReader reader(dev->get());
-  std::string rec;
-  int n = 0;
-  while (reader.Next(&rec)) {
-    EXPECT_EQ(rec, "uring-rec-" + std::to_string(n));
-    ++n;
-  }
-  EXPECT_EQ(n, 200);
-  EXPECT_EQ(reader.offset(), end);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SegmentedDeviceTest, DirectIoRequestRoundTripsEvenWhenUnsupported) {
-  // tmpfs rejects O_DIRECT, so this usually exercises the silent-fallback
-  // path; on filesystems that accept it, it exercises the aligned
-  // tail-block-rewrite path. Either way the bytes must round-trip.
-  std::string dir = FreshDir("skeena_seg_direct");
-  SegmentedLogDevice::Options o;
-  o.segment_bytes = 8 * 1024;
-  o.use_direct_io = true;
-  Lsn end = 0;
-  {
-    auto dev = SegmentedLogDevice::Open(dir, o);
-    ASSERT_TRUE(dev.ok());
-    LogManager log(std::move(dev.value()));
-    for (int i = 0; i < 150; ++i) {
-      log.Append(Bytes("direct-rec-" + std::to_string(i)));
-    }
-    ASSERT_TRUE(log.Flush().ok());
-    end = log.CurrentLsn();
-  }
-  auto dev = SegmentedLogDevice::Open(dir, o);
-  ASSERT_TRUE(dev.ok());
-  LogReader reader(dev->get());
-  std::string rec;
-  int n = 0;
-  while (reader.Next(&rec)) {
-    EXPECT_EQ(rec, "direct-rec-" + std::to_string(n));
-    ++n;
-  }
-  EXPECT_EQ(n, 150);
-  EXPECT_EQ(reader.offset(), end);
   std::filesystem::remove_all(dir);
 }
 

@@ -258,14 +258,21 @@ TEST_F(RecoveryTest, TornLogTailIgnored) {
   }
 }
 
-TEST_F(RecoveryTest, LegacyFileBackendStillRecovers) {
-  auto legacy = [this] {
-    DatabaseOptions opts = FileOptions();
-    opts.log_backend = DatabaseOptions::LogBackend::kFile;
-    return opts;
-  };
+TEST_F(RecoveryTest, LegacySingleFileLogsRecoverUnderDefaultOptions) {
+  // A data dir from the older single-file WAL layout has plain files where
+  // the segmented device wants directories. Reopening it with default
+  // options must fall back to reading those files instead of losing them.
   {
-    Database db(legacy());
+    DatabaseOptions opts = FileOptions();
+    const std::string dir = dir_;
+    opts.log_device_factory =
+        [dir](const std::string& name) -> std::unique_ptr<StorageDevice> {
+      auto dev = FileDevice::Open(dir + "/" + name);
+      // An unopenable file fails the is_regular_file checks below.
+      if (!dev.ok()) return std::make_unique<MemDevice>();
+      return std::move(dev.value());
+    };
+    Database db(opts);
     auto mem_t = *db.CreateTable("m", EngineKind::kMem);
     auto stor_t = *db.CreateTable("s", EngineKind::kStor);
     auto txn = db.Begin();
@@ -273,8 +280,10 @@ TEST_F(RecoveryTest, LegacyFileBackendStillRecovers) {
     ASSERT_TRUE(txn->Put(stor_t, MakeKey(1), "stor-file").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
+  ASSERT_TRUE(std::filesystem::is_regular_file(dir_ + "/mem.log"));
+  ASSERT_TRUE(std::filesystem::is_regular_file(dir_ + "/stor.log"));
   {
-    Database db(legacy());
+    Database db(FileOptions());
     ASSERT_TRUE(db.Recover().ok());
     auto reader = db.Begin();
     std::string v;
@@ -285,28 +294,34 @@ TEST_F(RecoveryTest, LegacyFileBackendStillRecovers) {
   }
 }
 
-TEST_F(RecoveryTest, FileBackedDataDirReopensUnderSegmentedDefault) {
-  // A data dir created under the legacy kFile layout has plain files where
-  // the segmented backend wants directories. Reopening with the segmented
-  // default must fall back to the file layout instead of losing the log.
+TEST_F(RecoveryTest, LogDeviceFactoryStillGetsDataDirCreated) {
+  // data_dir must exist before the first catalog entry is persisted, even
+  // when no default device is opened under it.
+  ASSERT_FALSE(std::filesystem::exists(dir_));
   {
     DatabaseOptions opts = FileOptions();
-    opts.log_backend = DatabaseOptions::LogBackend::kFile;
+    opts.log_device_factory = [](const std::string&) {
+      return std::make_unique<MemDevice>();
+    };
     Database db(opts);
-    auto mem_t = *db.CreateTable("m", EngineKind::kMem);
-    auto txn = db.Begin();
-    ASSERT_TRUE(txn->Put(mem_t, MakeKey(7), "from-file-era").ok());
-    ASSERT_TRUE(txn->Commit().ok());
+    ASSERT_TRUE(db.CreateTable("m", EngineKind::kMem).ok());
   }
-  {
-    Database db(FileOptions());  // default backend: segmented
-    ASSERT_TRUE(db.Recover().ok());
-    auto reader = db.Begin();
-    std::string v;
-    ASSERT_TRUE(reader->Get(*db.GetTable("m"), MakeKey(7), &v).ok());
-    EXPECT_EQ(v, "from-file-era");
-  }
+  Database db(FileOptions());
+  EXPECT_TRUE(db.GetTable("m").ok()) << "first catalog entry was lost";
 }
+
+#ifdef GTEST_HAS_DEATH_TEST
+using RecoveryDeathTest = RecoveryTest;
+
+TEST_F(RecoveryDeathTest, UnopenableLogDeviceAbortsInsteadOfRunningInMemory) {
+  // A directory where the first segment file belongs defeats both the
+  // segmented open and the single-file fallback, even for root.
+  ASSERT_TRUE(
+      std::filesystem::create_directories(dir_ + "/mem.log/wal.00000000.seg"));
+  EXPECT_DEATH({ Database db(FileOptions()); },
+               "cannot open .*mem\\.log.*wal\\.00000000\\.seg");
+}
+#endif
 
 }  // namespace
 }  // namespace skeena
