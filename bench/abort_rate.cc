@@ -7,12 +7,31 @@
 //
 // Expected shape: baselines ~sub-1%; cross-engine schemes add only a small
 // delta (paper: +0.3% TPC-C); the micro cross-engine mix shows a larger
-// but bounded Skeena-attributed share.
+// but bounded Skeena-attributed share. Every row also splits the commit
+// check's aborts by the Algorithm 2 condition that fired (reader tie, low
+// bound, high bound, sealed partition), as % of attempts.
 
 #include "bench/common/bench_harness.h"
 
 namespace skeena::bench {
 namespace {
+
+// Commit-check aborts by cause over one cell, from the CSR counter deltas
+// around the run, as % of the cell's attempts.
+void SetCommitAbortCauses(ResultMatrix* m, const std::string& row,
+                          const SnapshotRegistry::Stats& before,
+                          const SnapshotRegistry::Stats& after,
+                          const RunResult& r) {
+  double attempts =
+      static_cast<double>(r.commits + r.engine_aborts + r.skeena_aborts);
+  auto pct = [attempts](uint64_t b, uint64_t a) {
+    return attempts == 0 ? 0.0 : static_cast<double>(a - b) * 100.0 / attempts;
+  };
+  m->Set(row, "reader tie %", pct(before.reader_tie, after.reader_tie));
+  m->Set(row, "low bound %", pct(before.low_bound, after.low_bound));
+  m->Set(row, "high bound %", pct(before.high_bound, after.high_bound));
+  m->Set(row, "sealed %", pct(before.sealed, after.sealed));
+}
 
 void Run() {
   BenchScale scale = BenchScale::FromEnv();
@@ -55,6 +74,7 @@ void Run() {
       cfg.pool_fraction = 2.0;
       cfg.warehouses = std::max(cfg.warehouses, std::min(conns, 16));
       Tpcc tpcc(cfg);
+      auto before = tpcc.db()->csr().stats();
       RunResult r = RunWorkload(conns, scale.duration_ms,
                                 [&tpcc](int tid, Rng& rng, uint64_t* q) {
                                   return tpcc.RunMix(tid, rng, q);
@@ -62,6 +82,8 @@ void Run() {
       matrix->Set(scheme.label, "total abort %", r.AbortRate() * 100.0);
       matrix->Set(scheme.label, "skeena abort %",
                   r.SkeenaAbortRate() * 100.0);
+      SetCommitAbortCauses(matrix.get(), scheme.label, before,
+                           tpcc.db()->csr().stats(), r);
       matrix->Set(scheme.label, "TPS", r.Tps());
       return r;
     });
@@ -86,6 +108,7 @@ void Run() {
       cfg.stor_pct = row.stor_pct;
       cfg.pool_fraction = 2.0;
       MicroWorkload* wl = cache.Get(cfg, row.skeena_on);
+      auto before = wl->db()->csr().stats();
       RunResult r = RunWorkload(conns, scale.duration_ms,
                                 [wl](int t, Rng& rng, uint64_t* q) {
                                   return wl->RunOneTxn(t, rng, q);
@@ -93,6 +116,8 @@ void Run() {
       micro_matrix->Set(row.label, "total abort %", r.AbortRate() * 100.0);
       micro_matrix->Set(row.label, "skeena abort %",
                         r.SkeenaAbortRate() * 100.0);
+      SetCommitAbortCauses(micro_matrix.get(), row.label, before,
+                           wl->db()->csr().stats(), r);
       return r;
     });
   }

@@ -6,7 +6,8 @@ Rules
 epoch-guard-blocking
     An EpochGuard (common/epoch.h) pins reclamation for the whole domain,
     so its scope must never span a blocking wait: ParkingLot parks,
-    WaitDurable, condvar waits, or socket I/O (the PR-2 review bug class).
+    WaitDurable, the coordinator's commit-horizon wait (AwaitCommitHorizon),
+    condvar waits, or socket I/O.
     Flags any blocking call lexically inside a live EpochGuard scope.
 
 raw-std-sync
@@ -88,6 +89,7 @@ RELAXED_ALLOWLIST = {
 BLOCKING_PATTERNS = [
     (re.compile(r"\bParkingLot::Park(For)?\b"), "ParkingLot park"),
     (re.compile(r"\bWaitDurable\s*\("), "durable-LSN wait"),
+    (re.compile(r"\bAwaitCommitHorizon\s*\("), "commit-horizon wait"),
     (re.compile(r"\.Wait(For|Until)?\s*\("), "condvar wait"),
     (re.compile(r"\b(sleep_for|sleep_until)\s*\("), "thread sleep"),
     (re.compile(r"\.(Recv|Send|TryRecv)\s*\("), "replication socket I/O"),
@@ -249,7 +251,8 @@ def clang_epoch_guard_blocking(repo_root, rel_paths):
 
     from clang import cindex
     findings = []
-    blocking_names = {"Park", "ParkFor", "WaitDurable", "Wait", "WaitFor",
+    blocking_names = {"Park", "ParkFor", "WaitDurable", "AwaitCommitHorizon",
+                      "Wait", "WaitFor",
                       "WaitUntil", "Recv", "Send", "TryRecv", "sleep_for",
                       "sleep_until", "recv", "send", "read", "write",
                       "accept", "accept4", "connect"}

@@ -95,6 +95,26 @@ if doc["bench"] == "ablation_commit":
         f"append throughput collapsed under contention: 1t={one} multi={many}"
     print(f"  OK log-backend fields: {len(backend)} backend + "
           f"{len(append)} append points")
+if doc["bench"] == "abort_rate":
+    # Every row of both matrices splits the commit check's aborts by cause
+    # (% of attempts); the causes are Skeena aborts, so they can never add
+    # up to more than the row's "skeena abort %" (up to the JSON writer's
+    # 6-significant-digit rounding).
+    causes = ("reader tie %", "low bound %", "high bound %", "sealed %")
+    rows = {}
+    for p in doc["points"]:
+        rows.setdefault((p["matrix"], p["row"]), {})[p["col"]] = p["value"]
+    assert rows, "no abort-rate rows in BENCH_abort_rate.json"
+    for (matrix, row), cols in rows.items():
+        missing = [c for c in causes if c not in cols]
+        assert not missing, f"{matrix} / {row}: missing cause columns {missing}"
+        for c in causes:
+            assert 0 <= cols[c] <= 100, f"{matrix} / {row}: bad {c} {cols[c]}"
+        total = sum(cols[c] for c in causes)
+        assert total <= cols["skeena abort %"] + 1e-3, \
+            f"{matrix} / {row}: causes {total} exceed skeena aborts " \
+            f"{cols['skeena abort %']}"
+    print(f"  OK abort-cause columns: {len(rows)} rows x {len(causes)} causes")
 if doc["bench"] == "eviction_pressure":
     # The buffer-pool frame-lifecycle cost matrix: every coverage row must
     # be present in the throughput matrix, hit ratios must be sane

@@ -91,6 +91,10 @@ Lsn MemEngineAdapter::PostCommit(SubTxn* sub, GlobalTxnId gtid,
 
 void MemEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsMem(sub)); }
 
+Timestamp MemEngineAdapter::CommitHorizon() const {
+  return engine_.CommitHorizon();
+}
+
 Lsn MemEngineAdapter::CurrentLsn() const {
   return engine_.log() == nullptr ? 0 : engine_.log()->CurrentLsn();
 }
@@ -183,6 +187,10 @@ Lsn StorEngineAdapter::PostCommit(SubTxn* sub, GlobalTxnId gtid,
 }
 
 void StorEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsStor(sub)); }
+
+Timestamp StorEngineAdapter::CommitHorizon() const {
+  return engine_.CommitHorizon();
+}
 
 Lsn StorEngineAdapter::CurrentLsn() const {
   return engine_.log() == nullptr ? 0 : engine_.log()->CurrentLsn();

@@ -47,6 +47,7 @@ class MemEngineAdapter : public EngineIface {
                    Timestamp* commit_ts) override;
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
+  Timestamp CommitHorizon() const override;
 
   Lsn CurrentLsn() const override;
   Lsn DurableLsn() const override;
@@ -98,6 +99,7 @@ class StorEngineAdapter : public EngineIface {
                    Timestamp* commit_ts) override;
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
+  Timestamp CommitHorizon() const override;
 
   Lsn CurrentLsn() const override;
   Lsn DurableLsn() const override;

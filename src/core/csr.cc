@@ -169,54 +169,64 @@ SnapshotRegistry::MapResult SnapshotRegistry::InstallLocked(Timestamp key,
 }
 
 Result<Timestamp> SnapshotRegistry::SelectSnapshot(
-    Timestamp anchor_snap, const std::function<Timestamp()>& latest_other) {
+    Timestamp anchor_snap, const std::function<Timestamp()>& latest_other,
+    const std::function<void()>& before_install) {
   TickAccess();
+  if (auto fast = SelectLockFree(anchor_snap)) return *fast;
+  if (before_install) {
+    // Runs unpinned and unlocked: it may wait on committers, and those
+    // take write_mu_ for their own check.
+    before_install();
+    if (auto fast = SelectLockFree(anchor_snap)) return *fast;
+  }
+  // Still a miss: a new mapping must be installed.
+  return SelectSlow(anchor_snap, latest_other);
+}
 
-  // ---- Lock-free fast path: Algorithm 1's hit case. The mapping is
-  // already recorded (exact key) or implied (sealed predecessor): no
-  // mutex, no shared write — only the epoch pin and sharded stats. The
-  // guard is scoped to this block: SelectSlow runs entirely under
-  // write_mu_, where nothing can be retired, and staying pinned across
-  // the lock wait would only stall epoch advancement.
-  {
-    EpochGuard guard(*epoch_);
-    const PartitionList* list = list_.load(std::memory_order_acquire);
-    if (!list->parts.empty()) {
-      size_t idx = LocatePartition(*list, anchor_snap);
-      if (idx == kNpos) {
-        // The partition that covered this (old) snapshot was recycled.
-        select_aborts_.Add(1);
-        return Status::SkeenaAbort("anchor snapshot predates CSR");
+std::optional<Result<Timestamp>> SnapshotRegistry::SelectLockFree(
+    Timestamp anchor_snap) {
+  // Algorithm 1's hit case. The mapping is already recorded (exact key) or
+  // implied (sealed predecessor): no mutex, no shared write — only the
+  // epoch pin and sharded stats. The guard covers only this lookup:
+  // SelectSlow runs entirely under write_mu_, where nothing can be
+  // retired, and staying pinned across the lock wait would only stall
+  // epoch advancement.
+  EpochGuard guard(*epoch_);
+  const PartitionList* list = list_.load(std::memory_order_acquire);
+  if (!list->parts.empty()) {
+    size_t idx = LocatePartition(*list, anchor_snap);
+    if (idx == kNpos) {
+      // The partition that covered this (old) snapshot was recycled.
+      select_aborts_.Add(1);
+      return Status::SkeenaAbort("anchor snapshot predates CSR");
+    }
+    const Partition* p = list->parts[idx];
+    bool is_last = idx + 1 == list->parts.size();
+    size_t n = p->count.load(std::memory_order_acquire);
+    size_t ub = UpperBound(*p, n, anchor_snap);
+    if (ub > 0) {
+      const Entry& pred = p->entries[ub - 1];
+      if (pred.key == anchor_snap || !is_last) {
+        // Exact key: the interval at our snapshot already covers the
+        // selection (Algorithm 1 line 9). Sealed partition: immutable,
+        // so no commit can ever land between the predecessor and our
+        // snapshot — the mapping Algorithm 1 line 10 would insert is
+        // already implied. This is how inactive indexes "continue to
+        // serve existing transactions for snapshot selection"
+        // (Section 4.3).
+        select_hits_.Add(1);
+        mappings_.Add(1);
+        return pred.vmax.load(std::memory_order_acquire);
       }
-      const Partition* p = list->parts[idx];
-      bool is_last = idx + 1 == list->parts.size();
-      size_t n = p->count.load(std::memory_order_acquire);
-      size_t ub = UpperBound(*p, n, anchor_snap);
-      if (ub > 0) {
-        const Entry& pred = p->entries[ub - 1];
-        if (pred.key == anchor_snap || !is_last) {
-          // Exact key: the interval at our snapshot already covers the
-          // selection (Algorithm 1 line 9). Sealed partition: immutable,
-          // so no commit can ever land between the predecessor and our
-          // snapshot — the mapping Algorithm 1 line 10 would insert is
-          // already implied. This is how inactive indexes "continue to
-          // serve existing transactions for snapshot selection"
-          // (Section 4.3).
-          mappings_.Add(1);
-          return pred.vmax.load(std::memory_order_acquire);
-        }
-      } else if (!is_last) {
-        // Without a predecessor the selection would need a new mapping
-        // that can never land in a sealed partition: abort.
-        sealed_aborts_.Add(1);
-        select_aborts_.Add(1);
-        return Status::SkeenaAbort("mapping lands in sealed CSR partition");
-      }
+    } else if (!is_last) {
+      // Without a predecessor the selection would need a new mapping
+      // that can never land in a sealed partition: abort.
+      sealed_aborts_.Add(1);
+      select_aborts_.Add(1);
+      return Status::SkeenaAbort("mapping lands in sealed CSR partition");
     }
   }
-
-  // ---- Miss: a new mapping must be installed.
-  return SelectSlow(anchor_snap, latest_other);
+  return std::nullopt;
 }
 
 Result<Timestamp> SnapshotRegistry::SelectSlow(
@@ -226,6 +236,7 @@ Result<Timestamp> SnapshotRegistry::SelectSlow(
   if (list->parts.empty()) {
     Timestamp selected = latest_other();
     AppendPartitionLocked(anchor_snap, selected);
+    select_installs_.Add(1);
     mappings_.Add(1);
     return selected;
   }
@@ -264,23 +275,24 @@ Result<Timestamp> SnapshotRegistry::SelectSlow(
       }
     }
   }
+  bool exact = have_pred && p->entries[ub - 1].key == anchor_snap;
+  if (exact || (!is_last && have_pred)) {
+    // Raced with an install at our key, or with a partition spawn that
+    // sealed our predecessor, since the lock-free attempt: the recorded
+    // interval / the sealed predecessor already covers the selection.
+    select_hits_.Add(1);
+    mappings_.Add(1);
+    return selected;
+  }
   if (!is_last) {
-    if (have_pred) {
-      // Raced with a partition spawn since the lock-free attempt: the
-      // sealed predecessor still implies the mapping.
-      mappings_.Add(1);
-      return selected;
-    }
     sealed_aborts_.Add(1);
     select_aborts_.Add(1);
     return Status::SkeenaAbort("mapping lands in sealed CSR partition");
   }
-  // The lower bound falls out of the upper bound already computed: equal
-  // only when the predecessor is an exact-key hit.
-  size_t lb = (have_pred && p->entries[ub - 1].key == anchor_snap) ? ub - 1
-                                                                   : ub;
-  MapResult r = InstallLocked(anchor_snap, selected, idx, lb);
+  // No exact key here, so the lower bound equals the upper bound.
+  MapResult r = InstallLocked(anchor_snap, selected, idx, ub);
   if (r == MapResult::kOk) {
+    select_installs_.Add(1);
     mappings_.Add(1);
     return selected;
   }
@@ -309,7 +321,7 @@ Status SnapshotRegistry::CommitCheck(Timestamp anchor_cts,
   size_t idx = LocatePartition(*list, anchor_cts);
   if (idx == kNpos) {
     sealed_aborts_.Add(1);
-    commit_aborts_.Add(1);
+    commit_sealed_aborts_.Add(1);
     return Status::SkeenaAbort("anchor commit predates CSR");
   }
   const Partition* p = list->parts[idx];
@@ -329,7 +341,7 @@ Status SnapshotRegistry::CommitCheck(Timestamp anchor_cts,
   if (gate && anchor_engine_wrote && other_engine_wrote && lb < n &&
       p->entries[lb].key == anchor_cts &&
       p->entries[lb].vmin.load(std::memory_order_relaxed) < other_cts) {
-    commit_aborts_.Add(1);
+    reader_tie_aborts_.Add(1);
     return Status::SkeenaAbort(
         "commit check failed: reader tie at anchor commit");
   }
@@ -355,9 +367,9 @@ Status SnapshotRegistry::CommitCheck(Timestamp anchor_cts,
   }
 
   bool low_violated =
-      other_engine_wrote ? other_cts <= low : other_cts < low;
-  if (gate && ((low != 0 && low_violated) || other_cts > high)) {
-    commit_aborts_.Add(1);
+      low != 0 && (other_engine_wrote ? other_cts <= low : other_cts < low);
+  if (gate && (low_violated || other_cts > high)) {
+    (low_violated ? low_bound_aborts_ : high_bound_aborts_).Add(1);
     return Status::SkeenaAbort("commit check failed");
   }
 
@@ -367,7 +379,7 @@ Status SnapshotRegistry::CommitCheck(Timestamp anchor_cts,
     return Status::OK();
   }
   sealed_aborts_.Add(1);
-  commit_aborts_.Add(1);
+  commit_sealed_aborts_.Add(1);
   return Status::SkeenaAbort("mapping lands in sealed CSR partition");
 }
 
@@ -505,8 +517,14 @@ SnapshotRegistry::Stats SnapshotRegistry::stats() const {
   Stats s;
   s.accesses = accesses_.Read();
   s.mappings = mappings_.Read();
+  s.select_hits = select_hits_.Read();
+  s.select_installs = select_installs_.Read();
   s.select_aborts = select_aborts_.Read();
-  s.commit_aborts = commit_aborts_.Read();
+  s.reader_tie = reader_tie_aborts_.Read();
+  s.low_bound = low_bound_aborts_.Read();
+  s.high_bound = high_bound_aborts_.Read();
+  s.sealed = commit_sealed_aborts_.Read();
+  s.commit_aborts = s.reader_tie + s.low_bound + s.high_bound + s.sealed;
   s.sealed_aborts = sealed_aborts_.Read();
   s.partitions_created = partitions_created_.Read();
   s.partitions_recycled = partitions_recycled_.Read();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/epoch.h"
@@ -75,11 +76,33 @@ class SnapshotRegistry {
   };
 
   struct Stats {
+    /// Selections plus commit checks plus replayed installs.
     uint64_t accesses = 0;
+    /// Successful selections (hits and installs), commit checks that
+    /// passed, and replayed installs — not a count of registry entries.
     uint64_t mappings = 0;
+    /// Selections served by an already recorded or implied mapping (no
+    /// registry change) / selections that recorded a new mapping.
+    uint64_t select_hits = 0;
+    uint64_t select_installs = 0;
     uint64_t select_aborts = 0;   // snapshot selection failed
-    uint64_t commit_aborts = 0;   // Algorithm 2 bounds violated
+    /// Commit checks that aborted (Algorithm 2): always the sum of the
+    /// four causes below.
+    uint64_t commit_aborts = 0;
+    /// Same-key reader: a mapping at exactly our anchor commit timestamp (a
+    /// crossing's selection, or an anchor-read-only commit) holds an
+    /// other-engine value below our other-engine commit.
+    uint64_t reader_tie = 0;
+    /// Low bound: our other-engine commit is at (or, read-only, below) the
+    /// value mapped at the nearest earlier anchor key.
+    uint64_t low_bound = 0;
+    /// High bound: our other-engine commit is above the smallest value
+    /// mapped at the nearest later anchor key.
+    uint64_t high_bound = 0;
+    /// The commit's mapping lands in a sealed or recycled partition.
+    uint64_t sealed = 0;
     uint64_t sealed_aborts = 0;   // mapping needed in a sealed partition
+                                  // (selections, commits and replays)
     uint64_t partitions_created = 0;
     uint64_t partitions_recycled = 0;
   };
@@ -97,8 +120,16 @@ class SnapshotRegistry {
   /// anchor snapshot is `anchor_snap`. `latest_other` supplies the latest
   /// snapshot in the other engine for the no-candidate case. Returns
   /// kSkeenaAbort if the required mapping cannot be recorded.
-  Result<Timestamp> SelectSnapshot(Timestamp anchor_snap,
-                                   const std::function<Timestamp()>& latest_other);
+  ///
+  /// `before_install`, when set, runs once if the lock-free lookup misses —
+  /// with no CSR lock or epoch pin held — and the lookup is retried before
+  /// the install path. The coordinator passes its wait for in-flight
+  /// anchor commits at or below `anchor_snap` (DESIGN.md "Crossing wait"):
+  /// a mapping installed after every such commit has run its check can no
+  /// longer contradict one of them.
+  Result<Timestamp> SelectSnapshot(
+      Timestamp anchor_snap, const std::function<Timestamp()>& latest_other,
+      const std::function<void()>& before_install = nullptr);
 
   /// Algorithm 2: commit check + mapping installation for a cross-engine
   /// transaction committing with the given pair of commit timestamps.
@@ -255,6 +286,11 @@ class SnapshotRegistry {
   // Swaps in `next` and retires the previous list. Caller holds write_mu_.
   void PublishLocked(PartitionList* next) SKEENA_REQUIRES(write_mu_);
 
+  // Lock-free half of SelectSnapshot: the hit (an exact or implied
+  // mapping) or a selection abort, or nullopt when a mapping must be
+  // installed.
+  std::optional<Result<Timestamp>> SelectLockFree(Timestamp anchor_snap);
+
   // Slow path of SelectSnapshot: a new mapping (or first partition) is
   // required.
   Result<Timestamp> SelectSlow(Timestamp anchor_snap,
@@ -280,8 +316,14 @@ class SnapshotRegistry {
 
   ShardedCounter accesses_;
   ShardedCounter mappings_;
+  ShardedCounter select_hits_;
+  ShardedCounter select_installs_;
   ShardedCounter select_aborts_;
-  ShardedCounter commit_aborts_;
+  // commit_aborts is their sum (Stats), so the split always adds up.
+  ShardedCounter reader_tie_aborts_;
+  ShardedCounter low_bound_aborts_;
+  ShardedCounter high_bound_aborts_;
+  ShardedCounter commit_sealed_aborts_;
   ShardedCounter sealed_aborts_;
   ShardedCounter partitions_created_;
   ShardedCounter partitions_recycled_;

@@ -78,6 +78,16 @@ class EngineIface {
                          bool cross_engine) = 0;
   virtual void Abort(SubTxn* sub) = 0;
 
+  /// Commit horizon in this engine's commit-order space: every commit with
+  /// a commit timestamp <= the returned value has left its commit window —
+  /// post-committed with all log records appended, or aborted — so in a
+  /// cross-engine commit it has also run its CSR check. Lock-free scan of
+  /// the engine's committing-window registry; waits out only committers
+  /// mid-registration. The log shipper bounds each watermark by it, and a
+  /// crossing waits for the anchor's horizon to reach its snapshot before
+  /// CSR selection (DESIGN.md "Crossing wait").
+  virtual Timestamp CommitHorizon() const = 0;
+
   // ------------------------------------------------------------ logging
   virtual Lsn CurrentLsn() const = 0;
   virtual Lsn DurableLsn() const = 0;

@@ -1,6 +1,29 @@
 #include "core/transaction.h"
 
+#include <thread>
+
+#include "common/spin_latch.h"
+
 namespace skeena {
+
+namespace {
+
+// The crossing wait (DESIGN.md "Crossing wait"): returns once every anchor
+// commit at or below `snap` has left its commit window, i.e. has run its
+// CSR check. The caller holds no latch, row lock, CSR mutex or epoch pin,
+// and a committer inside its window never waits on a crosser, so this
+// cannot deadlock.
+void AwaitCommitHorizon(const EngineIface& anchor, Timestamp snap) {
+  for (uint32_t spins = 0; anchor.CommitHorizon() < snap;) {
+    if (++spins % 64 == 0) {
+      std::this_thread::yield();
+    } else {
+      CpuRelax();
+    }
+  }
+}
+
+}  // namespace
 
 Transaction::Transaction(Database* db, IsolationLevel iso)
     : db_(db),
@@ -60,6 +83,17 @@ Status Transaction::EnsureAnchorSnapshot() {
   anchor_snap_ = db_->engine(db_->anchor_index())->LatestSnapshot();
   db_->anchor_registry().SetSnapshot(anchor_slot_, anchor_snap_);
   return Status::OK();
+}
+
+Result<Timestamp> Transaction::SelectOtherSnapshot(int e) {
+  const EngineIface* anchor = db_->engine(db_->anchor_index());
+  // Algorithm 1, with the crossing wait before any install: a mapping
+  // recorded while an anchor commit at or below our snapshot is still
+  // between its timestamp draw and its check would doom that commit (a
+  // reader tie at its key, or a high bound below its other-engine commit).
+  return db_->csr().SelectSnapshot(
+      anchor_snap_, [this, e] { return db_->engine(e)->LatestSnapshot(); },
+      [this, anchor] { AwaitCommitHorizon(*anchor, anchor_snap_); });
 }
 
 Status Transaction::PrepareAccess(int e) {
@@ -127,9 +161,7 @@ Status Transaction::PrepareAccess(int e) {
       refreshed = db_->engine(e)->RefreshSnapshot(subs_[e].get(),
                                                   anchor_snap_);
     } else {
-      auto sel = db_->csr().SelectSnapshot(anchor_snap_, [this, e] {
-        return db_->engine(e)->LatestSnapshot();
-      });
+      auto sel = SelectOtherSnapshot(e);
       if (!sel.ok()) {
         Abort();
         return sel.status();
@@ -158,9 +190,7 @@ Status Transaction::PrepareAccess(int e) {
   if (e == anchor) {
     subs_[e] = db_->engine(e)->Begin(iso_, anchor_snap_);
   } else {
-    auto sel = db_->csr().SelectSnapshot(anchor_snap_, [this, e] {
-      return db_->engine(e)->LatestSnapshot();
-    });
+    auto sel = SelectOtherSnapshot(e);
     if (!sel.ok()) {
       Abort();
       return sel.status();

@@ -24,7 +24,9 @@ namespace skeena {
 ///  * the anchor snapshot is acquired from the anchor engine at the first
 ///    data access (one atomic load);
 ///  * crossing into the non-anchor engine runs CSR snapshot selection
-///    (Algorithm 1);
+///    (Algorithm 1); before it installs a mapping it waits until every
+///    anchor commit at or below its snapshot has run its commit check, so
+///    the mapping cannot doom one of them (DESIGN.md "Crossing wait");
 ///  * Commit() runs the three-step protocol of Section 4.5 — pre-commit
 ///    both sub-transactions, CSR commit check (Algorithm 2), post-commit
 ///    both — then waits on the pipelined commit queue until both engines'
@@ -74,6 +76,10 @@ class Transaction {
   // acquisition, CSR selection, read-committed refresh).
   Status PrepareAccess(int e);
   Status EnsureAnchorSnapshot();
+  // CSR selection of engine `e`'s snapshot for anchor_snap_ (e is the
+  // non-anchor engine), waiting out in-flight anchor commits at or below
+  // anchor_snap_ before any mapping install.
+  Result<Timestamp> SelectOtherSnapshot(int e);
   // Replica mode: pins the visibility-gate snapshot pair (both registries
   // pre-registered before the pair is read, so GC floors cannot pass it).
   Status EnsureReplicaSnapshots();

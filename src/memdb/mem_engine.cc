@@ -236,7 +236,7 @@ Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId gtid,
 
   LatchWriteSet(txn);
   // Enter the committing window *before* drawing the commit timestamp:
-  // ReplicationHorizon()'s registry scan waits out the sentinel, so every
+  // CommitHorizon()'s registry scan waits out the sentinel, so every
   // commit with cts <= a sampled horizon has already left the window —
   // i.e. finished its last log append. Registered until PostCommit/Abort.
   txn->committing_slot_ = committing_.Acquire();
@@ -364,7 +364,7 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   }
 
   // Leave the committing window only after the last log append: the
-  // replication horizon must not pass this cts while records are pending.
+  // commit horizon must not pass this cts while records are pending.
   if (txn->committing_slot_ != MemTxn::kNone) {
     committing_.Release(txn->committing_slot_);
     txn->committing_slot_ = MemTxn::kNone;
@@ -441,7 +441,7 @@ MemEngine::Stats MemEngine::stats() const {
   return s;
 }
 
-Timestamp MemEngine::ReplicationHorizon() const {
+Timestamp MemEngine::CommitHorizon() const {
   // Fallback clock+1, read before the scan: with no committer in the
   // window every drawn cts has finished appending, so the horizon is the
   // clock itself. A committer that enters after the scan draws its cts

@@ -130,13 +130,15 @@ class MemEngine {
   void Abort(MemTxn* txn);
 
   // ------------------------------------------------------- replication
-  /// Commit horizon for log shipping: every commit with cts <= the returned
-  /// value has appended ALL of its log records (the committing-window
-  /// registry is held from before the timestamp draw until after the last
-  /// append, so the scan cannot miss an in-flight committer). Log append
-  /// order is not cts order, so a plain "ship up to LSN X" carries no such
-  /// guarantee on its own — the shipper samples this horizon, then the LSN.
-  Timestamp ReplicationHorizon() const;
+  /// Commit horizon: every commit with cts <= the returned value has left
+  /// its commit window — post-committed (ALL of its log records appended)
+  /// or aborted. The committing-window registry is held from before the
+  /// timestamp draw until after the last append, so the scan cannot miss
+  /// an in-flight committer. Log append order is not cts order, so a plain
+  /// "ship up to LSN X" carries no such guarantee on its own — the shipper
+  /// samples this horizon, then the LSN; the coordinator's crossing wait
+  /// uses it to let in-flight anchor commits finish their CSR check.
+  Timestamp CommitHorizon() const;
 
   /// Replica-side apply of one replayed committed transaction: installs the
   /// write images at `cts`, re-logs them locally, and advances the clock to
@@ -204,7 +206,7 @@ class MemEngine {
   std::atomic<Timestamp> clock_{1};  // ts 1 = pre-loaded ("genesis") data
   ActiveSnapshotRegistry active_;
   // Committers registered from before their cts draw until their last log
-  // append; MinActive over it bounds ReplicationHorizon().
+  // append; MinActive over it bounds CommitHorizon().
   ActiveSnapshotRegistry committing_;
 
   // Reclamation domain (shared with the CSR and the other engine when

@@ -89,7 +89,7 @@ class MemTxn {
   IsolationLevel iso_;
   size_t registry_slot_;
   // Slot in the engine's committing-window registry, held from the
-  // commit-timestamp draw until the last log append (replication horizon).
+  // commit-timestamp draw until the last log append (commit horizon).
   size_t committing_slot_ = kNone;
   State state_ = State::kActive;
   bool latched_ = false;  // write-set record latches held (pre-committed)

@@ -183,8 +183,8 @@ void Shipper::Serve(int fd) {
     // below return immediately instead of sleeping on a stale sample.
     uint32_t seen = progress_seq_.load(std::memory_order_acquire);
     if (!have_wm) {
-      Timestamp mem_h = db_->mem()->engine()->ReplicationHorizon();
-      Timestamp stor_h = db_->stor()->engine()->ReplicationHorizon();
+      Timestamp mem_h = db_->engine(kMemIndex)->CommitHorizon();
+      Timestamp stor_h = db_->engine(kStorIndex)->CommitHorizon();
       target[kMemIndex] = db_->engine(kMemIndex)->CurrentLsn();
       target[kStorIndex] = db_->engine(kStorIndex)->CurrentLsn();
       csr_target = journal_->size();

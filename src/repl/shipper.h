@@ -10,7 +10,7 @@
 // The watermark discipline is the heart of the protocol: the shipper first
 // samples both engines' commit horizons (every commit at or below a
 // horizon has finished ALL of its log appends — see
-// MemEngine::ReplicationHorizon), and only then samples the stream targets
+// EngineIface::CommitHorizon), and only then samples the stream targets
 // (each log's CurrentLsn and the journal size). Sampling in that order
 // guarantees the targets cover every record of every commit under the
 // horizons, and every CSR install those commits made. The watermark is

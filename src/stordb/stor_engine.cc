@@ -123,7 +123,7 @@ Status StorEngine::EnsureView(StorTxn* txn) {
   // real horizon replaces it after view creation; for pinned views the
   // provider chain independently bounds the floor below ser_limit + 1.
   trx_sys_.view_registry().SetSnapshot(txn->view_slot_,
-                                       trx_sys_.LatestSerSnapshot() + 1);
+                                       trx_sys_.CounterBound());
   txn->view_ = trx_sys_.CreateReadView(txn->tid_);
   Timestamp horizon;
   if (pinned) {
@@ -398,7 +398,7 @@ Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId gtid,
   }
 
   // Enter the committing window *before* drawing the serialisation number
-  // (see MemEngine::PreCommit): ReplicationHorizon() must never pass a ser
+  // (see MemEngine::PreCommit): CommitHorizon() must never pass a ser
   // whose redo images are still pending at post-commit.
   txn->committing_slot_ = committing_.Acquire();
   committing_.BeginAcquire(txn->committing_slot_);
@@ -455,7 +455,7 @@ Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
         reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
   }
   // Leave the committing window only after the last log append: the
-  // replication horizon must not pass this ser while records are pending.
+  // commit horizon must not pass this ser while records are pending.
   if (txn->committing_slot_ != StorTxn::kNoSlot) {
     committing_.Release(txn->committing_slot_);
     txn->committing_slot_ = StorTxn::kNoSlot;
@@ -466,11 +466,12 @@ Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   return lsn;
 }
 
-Timestamp StorEngine::ReplicationHorizon() const {
-  // Fallback counter+1, read before the scan (see
-  // MemEngine::ReplicationHorizon): a committer entering the window after
-  // the scan draws its ser from a later counter increment, strictly above
-  // the value we return.
+Timestamp StorEngine::CommitHorizon() const {
+  // Fallback latest ser + 1, read before the scan (see
+  // MemEngine::CommitHorizon): a committer entering the window after the
+  // scan draws its ser from a later counter increment, strictly above the
+  // value we return; one that drew a ser <= `latest` entered the window
+  // before its draw, so the scan sees it (or it already left).
   Timestamp latest = trx_sys_.LatestSerSnapshot();
   return committing_.MinActive(latest + 1) - 1;
 }
@@ -562,7 +563,7 @@ void StorEngine::RetireUndos(StorTxn* txn) {
   bool committed = txn->state_ == StorTxn::State::kCommitted;
   uint64_t ser = (committed && txn->ser_no_ != 0)
                      ? txn->ser_no_
-                     : trx_sys_.LatestSerSnapshot() + 1;
+                     : trx_sys_.CounterBound();
   UndoRecord* head = txn->undo_head_;
   size_t count = txn->undo_count_;
   txn->undo_head_ = nullptr;

@@ -131,11 +131,12 @@ class StorEngine {
   void Abort(StorTxn* txn);
 
   // ------------------------------------------------------- replication
-  /// Commit horizon for log shipping (see MemEngine::ReplicationHorizon):
-  /// every commit with ser_no <= the returned value has appended ALL of
-  /// its log records — the committing-window registry is held from before
-  /// the serialisation-number draw until after the last append.
-  Timestamp ReplicationHorizon() const;
+  /// Commit horizon (see MemEngine::CommitHorizon): every commit with
+  /// ser_no <= the returned value has left its commit window, having
+  /// appended ALL of its log records or aborted — the committing-window
+  /// registry is held from before the serialisation-number draw until
+  /// after the last append.
+  Timestamp CommitHorizon() const;
 
   /// Replica-side commit of one replayed transaction: stamps it with the
   /// primary-assigned serialisation number (TrxSys::ForceSerNo) instead of
@@ -235,7 +236,7 @@ class StorEngine {
   LockManager locks_;
   std::atomic<uint64_t> next_lock_owner_{1};
   // Committers registered from before their ser draw until their last log
-  // append; MinActive over it bounds ReplicationHorizon().
+  // append; MinActive over it bounds CommitHorizon().
   ActiveSnapshotRegistry committing_;
 
   mutable Mutex tables_mu_;

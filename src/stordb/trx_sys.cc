@@ -12,27 +12,31 @@ TrxSys::TrxSys() {
 
 uint64_t TrxSys::AssignTid() {
   MutexLock guard(mu_);
-  uint64_t tid = next_tid_++;
+  uint64_t tid = next_tid_.fetch_add(1, std::memory_order_seq_cst);
   active_tids_.insert(tid);
-  last_allocated_.store(tid, std::memory_order_release);
   states_.Put(tid, StateSnapshot{TxnState::kActive, 0});
   return tid;
 }
 
 uint64_t TrxSys::AssignSerNo(uint64_t tid) {
-  MutexLock guard(mu_);
-  uint64_t ser = next_tid_++;
-  last_allocated_.store(ser, std::memory_order_release);
+  MutexLock guard(ser_mu_);
+  uint64_t ser = next_tid_.fetch_add(1, std::memory_order_seq_cst);
+  // State first, bound second: a cross view whose ser_limit comes from
+  // LatestSerSnapshot() must find this writer pre-committed, never still
+  // kActive (which reads as invisible and would skip a row its snapshot
+  // covers). ser_mu_ keeps successive draws — and so the stores below —
+  // in ser order.
   states_.Put(tid, StateSnapshot{TxnState::kPreCommitted, ser});
+  last_allocated_.store(ser, std::memory_order_release);
   return ser;
 }
 
 void TrxSys::ForceSerNo(uint64_t tid, uint64_t ser) {
-  MutexLock guard(mu_);
+  MutexLock guard(ser_mu_);
   states_.Put(tid, StateSnapshot{TxnState::kPreCommitted, ser});
-  if (ser >= next_tid_) next_tid_ = ser + 1;
-  // relaxed-ok: mu_ is held, so no concurrent writer; the release store
-  // below is the publication edge for lock-free readers.
+  AtomicFetchMax(next_tid_, ser + 1, std::memory_order_seq_cst);
+  // relaxed-ok: ser_mu_ is held, so no concurrent writer; the release
+  // store below is the publication edge for lock-free readers.
   if (ser > last_allocated_.load(std::memory_order_relaxed)) {
     last_allocated_.store(ser, std::memory_order_release);
   }
@@ -69,20 +73,24 @@ void TrxSys::FinishAbort(uint64_t tid) {
   // rollback may consult the state long after — and it may hold a snapshot
   // far NEWER than the transaction's pre-commit ser, so purging by that
   // ser would turn the aborted write into an implicitly-committed phantom.
-  // Every such reader began before this point, so `next_tid_` is a bound
+  // Every such reader began before this point, so the counter is a bound
   // its registered view keeps the purge below. (The ser of an aborted
   // state is otherwise unused: visibility only looks at the state tag.)
-  states_.Put(tid, StateSnapshot{TxnState::kAborted, next_tid_});
+  uint64_t bound = CounterBound();
+  states_.Put(tid, StateSnapshot{TxnState::kAborted, bound});
   MutexLock rguard(resolved_mu_);
-  resolved_aborts_.push_back(Resolved{next_tid_, tid});
+  resolved_aborts_.push_back(Resolved{bound, tid});
 }
 
 ReadView TrxSys::CreateReadView(uint64_t own_tid) {
   ReadView view;
   MutexLock guard(mu_);
-  view.high_water = next_tid_;
+  // One counter read: ser draws (under ser_mu_) may move it concurrently,
+  // but every TID below it was assigned under mu_ and is either in
+  // active_tids_ or resolved.
+  view.high_water = next_tid_.load(std::memory_order_seq_cst);
   view.low_water =
-      active_tids_.empty() ? next_tid_ : *active_tids_.begin();
+      active_tids_.empty() ? view.high_water : *active_tids_.begin();
   view.active.assign(active_tids_.begin(), active_tids_.end());
   view.own_tid = own_tid;
   return view;
@@ -163,9 +171,10 @@ size_t TrxSys::PurgeStates(uint64_t min_ser) {
 }
 
 void TrxSys::AdvanceTo(uint64_t next) {
-  MutexLock guard(mu_);
-  if (next > next_tid_) {
-    next_tid_ = next;
+  MutexLock guard(ser_mu_);
+  AtomicFetchMax(next_tid_, next, std::memory_order_seq_cst);
+  // relaxed-ok: ser_mu_ is held, so no concurrent writer (see ForceSerNo).
+  if (next > 1 && next - 1 > last_allocated_.load(std::memory_order_relaxed)) {
     last_allocated_.store(next - 1, std::memory_order_release);
   }
 }

@@ -57,21 +57,34 @@ struct ReadView {
 };
 
 /// Central transaction bookkeeping, deliberately mirroring InnoDB's cost
-/// profile: TIDs and read views are handed out under one trx-sys mutex
-/// (the expensive snapshot acquisition that disqualifies stordb as the CSR
-/// anchor, paper Section 4.3).
+/// profile. TIDs and serialisation numbers come from ONE shared counter
+/// (`next_tid_`, atomic); two mutexes split the work the way MySQL 8.0's
+/// trx_sys does:
+///  * the trx-sys mutex (`mu_`) hands out TIDs and read views and does the
+///    commit/abort bookkeeping of the active set — the expensive snapshot
+///    acquisition that disqualifies stordb as the CSR anchor (paper
+///    Section 4.3);
+///  * the serialisation mutex (`ser_mu_`) only orders serialisation-number
+///    draws with the publication of their kPreCommitted state, so a
+///    committer inside the cross-engine commit window (pre-commit to CSR
+///    check) never queues behind read views or TID assignment.
+/// The two are never held together. LatestSerSnapshot() only covers sers
+/// whose kPreCommitted state is already published; bounds that must also
+/// cover TIDs read the counter itself (CounterBound()).
 class TrxSys {
  public:
   TrxSys();
 
   /// Assigns a TID to a read-write transaction and adds it to the active
-  /// set (under the trx-sys mutex, as in InnoDB).
+  /// set (under the trx-sys mutex, as in InnoDB). A TID is not a
+  /// serialisation number: LatestSerSnapshot() does not move.
   uint64_t AssignTid();
 
   /// Pre-commit: draws the serialisation number from the shared counter and
   /// publishes state kPreCommitted (paper Section 5: InnoDB's
   /// serialisation_no denotes commit ordering and is what Skeena's commit
-  /// check consumes).
+  /// check consumes). Runs under the serialisation mutex only; the state is
+  /// published before LatestSerSnapshot() moves past the new ser.
   uint64_t AssignSerNo(uint64_t tid);
 
   /// Replica-side pre-commit: stamps `tid` with a primary-assigned
@@ -103,10 +116,18 @@ class TrxSys {
 
   /// Latest commit-order snapshot for CSR's "use the latest e2 snapshot"
   /// fallback (Algorithm 1 line 6): every serialisation_no <= this value
-  /// belongs to a transaction that has at least pre-committed; visibility
-  /// waits out the pre-committed ones.
+  /// belongs to a transaction whose kPreCommitted (or later) state is
+  /// already published; visibility waits out the pre-committed ones.
   uint64_t LatestSerSnapshot() const {
-    return last_allocated_.load(std::memory_order_acquire) ;
+    return last_allocated_.load(std::memory_order_acquire);
+  }
+
+  /// The next number the shared TID/ser counter hands out: every TID and
+  /// ser drawn before this call is below it. The conservative bound for
+  /// horizons that must cover TIDs as well as sers (view pre-registration,
+  /// abort retire bounds) — LatestSerSnapshot() covers sers only.
+  uint64_t CounterBound() const {
+    return next_tid_.load(std::memory_order_seq_cst);
   }
 
   /// State lookup for commit-order visibility. Unknown TIDs are treated as
@@ -156,18 +177,27 @@ class TrxSys {
 
  private:
   mutable Mutex mu_ SKEENA_ACQUIRED_BEFORE(resolved_mu_);  // the trx-sys mutex
-  uint64_t next_tid_ SKEENA_GUARDED_BY(mu_) = 2;  // tid 1 = genesis loader
   std::set<uint64_t> active_tids_ SKEENA_GUARDED_BY(mu_);
+  // The shared TID/ser counter (tid 1 = genesis loader). TIDs are drawn
+  // under mu_ (so read views see a consistent active set), sers under
+  // ser_mu_; ForceSerNo/AdvanceTo only ever raise it.
+  std::atomic<uint64_t> next_tid_{2};
+  // Serialisation mutex: orders ser draws with their state publication and
+  // the store to last_allocated_. Never held together with mu_.
+  Mutex ser_mu_;
+  // Largest published ser; written only under ser_mu_, read lock-free.
   std::atomic<uint64_t> last_allocated_{1};
 
   mutable ConcurrentHashMap<uint64_t, StateSnapshot> states_;
   ActiveSnapshotRegistry views_;
   uint64_t prev_purge_min_ = 0;  // guarded by callers' purge serialization
 
-  /// Side index for O(ripe) purge: (retire ser, tid) in enqueue order,
-  /// which is near-monotone in ser because both the ser draw and the
-  /// enqueue happen under mu_. Split per outcome so the aborted entries'
-  /// one-round grace never stalls the committed prefix.
+  /// Side index for O(ripe) purge: (retire ser, tid) in enqueue order.
+  /// Commits enqueue at post-commit, which follows their ser draw by one
+  /// commit window, and aborts enqueue the counter read at FinishAbort, so
+  /// the order is near-monotone in ser; a smaller ser behind a larger head
+  /// only waits longer (PurgeStates). Split per outcome so the aborted
+  /// entries' one-round grace never stalls the committed prefix.
   struct Resolved {
     uint64_t ser;
     uint64_t tid;

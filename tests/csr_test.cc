@@ -142,7 +142,47 @@ TEST(CsrCommitTest, SkewedCommitRejected) {
   EXPECT_TRUE(s.IsSkeenaAbort());
   // Symmetric: other-engine commit before 100.
   EXPECT_TRUE(csr.CommitCheck(25, 50).IsSkeenaAbort());
-  EXPECT_GE(csr.stats().commit_aborts, 2u);
+  auto st = csr.stats();
+  EXPECT_EQ(st.commit_aborts, 2u);
+  EXPECT_EQ(st.high_bound, 1u) << "(20, 400) is above the successor's 300";
+  EXPECT_EQ(st.low_bound, 1u) << "(25, 50) is below the predecessor's 100";
+  EXPECT_EQ(st.reader_tie + st.sealed, 0u);
+}
+
+// The crossing-wait hook runs only when the lock-free lookup misses, and
+// the lookup is retried after it: a committer that installs its own
+// mapping meanwhile turns the miss into a hit instead of being doomed.
+TEST(CsrSelectTest, BeforeInstallRunsOnMissAndRetriesLookup) {
+  SnapshotRegistry csr(SmallOptions(100));
+  auto latest = [] { return Timestamp{250}; };
+  ASSERT_TRUE(csr.CommitCheck(10, 100).ok());
+  int calls = 0;
+  auto hit = csr.SelectSnapshot(10, latest, [&] { ++calls; });
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, 100u);
+  EXPECT_EQ(calls, 0) << "an exact-key hit must not wait";
+
+  // The committer at anchor 20 runs its check while the crosser waits.
+  auto waited = csr.SelectSnapshot(20, latest, [&] {
+    ++calls;
+    EXPECT_TRUE(csr.CommitCheck(20, 200).ok());
+  });
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(*waited, 200u);
+  EXPECT_EQ(calls, 1);
+
+  // Without the wait, the crosser at 30 installs first and dooms the
+  // committer at 30 with a reader tie.
+  auto early = csr.SelectSnapshot(30, latest);
+  ASSERT_TRUE(early.ok());
+  EXPECT_EQ(*early, 200u);
+  EXPECT_TRUE(csr.CommitCheck(30, 300).IsSkeenaAbort());
+
+  auto st = csr.stats();
+  EXPECT_EQ(st.select_hits, 2u);
+  EXPECT_EQ(st.select_installs, 1u);
+  EXPECT_EQ(st.reader_tie, 1u);
+  EXPECT_EQ(st.commit_aborts, 1u);
 }
 
 TEST(CsrCommitTest, BoundsInclusiveForReadOnlyTimestamps) {

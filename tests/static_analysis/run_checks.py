@@ -109,6 +109,7 @@ def run_linter_lane(repo_root, here):
     snippet_dir = os.path.join(here, "snippets")
     cases = [
         ("lint_epoch_guard_park.cc", "epoch-guard-blocking"),
+        ("lint_epoch_guard_horizon_wait.cc", "epoch-guard-blocking"),
         ("lint_raw_mutex.cc", "raw-std-sync"),
         ("lint_unjustified_relaxed.cc", "unjustified-relaxed"),
     ]

@@ -402,6 +402,48 @@ TEST(TrxSysTest, PurgeStopsAtTheFloor) {
   EXPECT_EQ(sys.PurgeStates(ser2 + 1), 1u);
 }
 
+// LatestSerSnapshot() is the commit-order snapshot CSR hands to cross
+// views; every ser it covers must already show its kPreCommitted state.
+// Were the bound published first, a view with that ser_limit could find
+// the writer still kActive — invisible — and skip a row its snapshot
+// covers. One thread runs AssignTid -> AssignSerNo -> MarkCommitted; the
+// other checks the state of the latest published tid whenever the ser
+// snapshot has passed it.
+TEST(TrxSysTest, LatestSerSnapshotNeverPassesUnpublishedState) {
+  TrxSys sys;
+  constexpr int kIterations = 1'000'000;
+  std::atomic<uint64_t> cur_tid{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> unpublished{0};
+  std::atomic<uint64_t> checks{0};
+  std::thread reader([&] {
+    uint64_t local_checks = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      uint64_t t = cur_tid.load(std::memory_order_acquire);
+      if (t == 0 || sys.LatestSerSnapshot() < t + 1) continue;
+      ++local_checks;
+      if (sys.GetState(t).state == TxnState::kActive) {
+        unpublished.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    checks.store(local_checks);
+  });
+  for (int i = 0; i < kIterations; ++i) {
+    uint64_t tid = sys.AssignTid();
+    cur_tid.store(tid, std::memory_order_release);
+    uint64_t ser = sys.AssignSerNo(tid);
+    sys.MarkCommitted(tid);
+    // Keep the state map small; a purged entry reads as committed.
+    if (i % 4096 == 4095) sys.PurgeStates(ser);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(checks.load(), 0u);
+  EXPECT_EQ(unpublished.load(), 0u)
+      << "LatestSerSnapshot() covered a ser whose writer still read as "
+         "kActive";
+}
+
 // --------------------------------------------------------------- StorEngine
 
 class StorEngineTest : public ::testing::Test {
