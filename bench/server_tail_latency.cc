@@ -56,7 +56,7 @@ std::vector<int> ParseIntList(const std::string& csv) {
 }
 
 struct ConnStats {
-  uint64_t commits = 0;
+  uint64_t commits = 0;  // acknowledged by the deadline
   uint64_t aborts = 0;
   uint64_t sent = 0;
   Histogram latency;  // BEGIN send -> COMMIT_OK receive, ns
@@ -93,10 +93,11 @@ void DriveConn(const std::string& host, uint16_t port, int rate_per_sec,
   std::deque<InFlight> inflight;
 
   // Drains whatever responses have arrived; with `block`, waits for the
-  // head-of-line response (used after the send schedule ends).
+  // head-of-line response (used after the send schedule ends). Frames the
+  // client already buffered are invisible to poll(), so they go first.
   auto drain = [&](bool block) {
     while (!inflight.empty()) {
-      if (!block) {
+      if (!block && !client.ResponseBuffered()) {
         pollfd pfd{client.fd(), POLLIN, 0};
         if (::poll(&pfd, 1, 0) <= 0) return true;
       }
@@ -109,7 +110,9 @@ void DriveConn(const std::string& host, uint16_t port, int rate_per_sec,
               now - inflight.front().begin_sent)
               .count()));
       if (rsp.op == Op::kCommitOk) {
-        ++stats->commits;
+        // Throughput counts commits acknowledged inside the window; later
+        // ones still contribute their latency sample.
+        if (now <= deadline) ++stats->commits;
       } else {
         ++stats->aborts;
       }

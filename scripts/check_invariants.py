@@ -29,6 +29,14 @@ tsan-suppression
     src/ — dead suppressions outlive the code they excused and mask
     genuine races in later rewrites.
 
+unlisted-option
+    Every field of a `struct Options` / `struct *Options` body under src/
+    needs a row in DESIGN.md's "Options inventory" table naming what needs
+    the knob (a bench cell, a paper figure, a test or a deployment reason
+    such as an address). A knob nothing needs is deleted or made a
+    constant instead. Rows naming a field that no longer exists are
+    flagged too, so the table stays a true inventory.
+
 Engines
 -------
 Prefers libclang (python clang bindings) for comment/scope-exact analysis
@@ -108,6 +116,16 @@ RAW_SYNC_EXEMPT = {"src/common/thread_annotations.h"}
 EPOCH_GUARD_RE = re.compile(r"\bEpochGuard\s+(\w+)\s*[({]")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_OK_RE = re.compile(r"relaxed-ok:")
+
+
+OPTIONS_STRUCT_RE = re.compile(r"^\w*Options$")
+# A scope head: `class X`, `struct X`, `namespace a::b`, with an optional
+# attribute macro between keyword and name (`class SKEENA_CAPABILITY("m") X`).
+SCOPE_HEAD_RE = re.compile(
+    r"\b(class|struct|union|namespace)\s+(?:[A-Z_]+\s*\([^)]*\)\s*)?"
+    r"(\w+(?:::\w+)*)")
+# Inventory rows: `| `Owner::Options::field` | reason |`.
+INVENTORY_HEADING_RE = re.compile(r"^#+\s+Options inventory\b")
 
 
 class Finding:
@@ -290,6 +308,132 @@ def clang_epoch_guard_blocking(repo_root, rel_paths):
 
 
 # --------------------------------------------------------------------------
+# unlisted-option rule
+# --------------------------------------------------------------------------
+
+def _strip_nested(text, open_ch, close_ch):
+    out, depth = [], 0
+    for ch in text:
+        if ch == open_ch:
+            depth += 1
+        elif ch == close_ch:
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
+
+
+def _field_name(stmt):
+    """Field declared by one member statement of an Options body, or None
+    for nested types, methods, aliases and the like."""
+    stmt = re.sub(r"^\s*(public|private|protected)\s*:", "", stmt).strip()
+    if not stmt or re.match(
+            r"(struct|class|union|enum|using|typedef|static|friend|"
+            r"template)\b", stmt):
+        return None
+    decl = stmt.split("=", 1)[0]
+    decl = _strip_nested(_strip_nested(decl, "<", ">"), "[", "]")
+    if "(" in decl:
+        return None  # a method (or constructor) declaration
+    names = re.findall(r"\b([A-Za-z_]\w*)\b", decl)
+    return names[-1] if len(names) >= 2 else None
+
+
+def lex_options_fields(lines):
+    """Returns (qualified field name, line) for every field of every
+    *Options struct in one file."""
+    fields = []
+    stack = []       # per open brace: (kind, name) or None
+    pending = None   # scope head seen, its '{' not yet
+    stmt, stmt_line = "", 0
+
+    def options_scope():
+        top = stack[-1] if stack else None
+        return top[1] if top is not None and top[0] == "options" else None
+
+    for idx, (code, _comment) in enumerate(lines, start=1):
+        heads = {m.start(): (m.group(1), m.group(2))
+                 for m in SCOPE_HEAD_RE.finditer(code)}
+        for pos, ch in enumerate(code):
+            pending = heads.get(pos, pending)
+            scope = options_scope()
+            if ch == "{":
+                if pending is not None and pending[0] == "struct" and \
+                        OPTIONS_STRUCT_RE.match(pending[1]):
+                    owners = [s[1] for s in stack
+                              if s is not None and s[0] != "namespace"]
+                    pending = ("options", "::".join(owners + [pending[1]]))
+                stack.append(pending)
+                pending = None
+            elif ch == "}":
+                if stack:
+                    stack.pop()
+                # A method body closed at member level: its head is not a
+                # field.
+                if options_scope() is not None and "(" in stmt:
+                    stmt = ""
+            elif ch == ";":
+                pending = None
+                if scope is not None:
+                    name = _field_name(stmt)
+                    if name is not None:
+                        fields.append((f"{scope}::{name}", stmt_line))
+                    stmt = ""
+            elif scope is not None:
+                if not stmt.strip() and not ch.isspace():
+                    stmt_line = idx
+                stmt += ch
+        if options_scope() is not None:
+            stmt += " "
+    return fields
+
+
+def read_options_inventory(repo_root):
+    """Qualified field names with a non-empty reason in DESIGN.md's Options
+    inventory table, mapped to their DESIGN.md line."""
+    path = os.path.join(repo_root, "DESIGN.md")
+    rows = {}
+    if not os.path.exists(path):
+        return rows
+    in_section = False
+    with open(path, encoding="utf-8") as f:
+        for idx, raw in enumerate(f, start=1):
+            if raw.startswith("#"):
+                in_section = bool(INVENTORY_HEADING_RE.match(raw))
+                continue
+            if not in_section or not raw.startswith("|"):
+                continue
+            cells = [c.strip() for c in raw.strip().strip("|").split("|")]
+            if len(cells) < 2 or not cells[1] or set(cells[1]) <= set("-: "):
+                continue
+            for name in re.findall(r"`([\w:]+)`", cells[0]):
+                rows[name] = idx
+    return rows
+
+
+def check_unlisted_options(repo_root, rel_paths, split_texts):
+    inventory = read_options_inventory(repo_root)
+    declared = set()
+    findings = []
+    for rel in rel_paths:
+        for name, line in lex_options_fields(split_texts[rel]):
+            declared.add(name)
+            if name not in inventory:
+                findings.append(Finding(
+                    "unlisted-option", rel, line,
+                    f"{name} has no row in DESIGN.md's Options inventory; "
+                    f"name the bench cell, paper figure, test or deployment "
+                    f"reason that needs it, or delete the knob"))
+    for name, line in sorted(inventory.items()):
+        if name not in declared:
+            findings.append(Finding(
+                "unlisted-option", "DESIGN.md", line,
+                f"Options inventory row {name} names no Options field in "
+                f"src/; delete the row"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # .tsan-suppressions rule
 # --------------------------------------------------------------------------
 
@@ -363,8 +507,9 @@ def run(repo_root, baseline_path, update_baseline, no_libclang):
         clang_findings = clang_epoch_guard_blocking(repo_root, rel_paths)
     engine = "libclang" if clang_findings is not None else "lexer"
 
+    split_texts = {rel: split_lines(texts[rel]) for rel in rel_paths}
     for rel in rel_paths:
-        lines = split_lines(texts[rel])
+        lines = split_texts[rel]
         if clang_findings is None:
             findings.extend(lex_epoch_guard_blocking(rel, lines))
         findings.extend(lex_raw_std_sync(rel, lines))
@@ -372,6 +517,7 @@ def run(repo_root, baseline_path, update_baseline, no_libclang):
     if clang_findings is not None:
         findings.extend(clang_findings)
     findings.extend(check_tsan_suppressions(repo_root, texts))
+    findings.extend(check_unlisted_options(repo_root, rel_paths, split_texts))
 
     if update_baseline:
         with open(baseline_path, "w", encoding="utf-8") as f:

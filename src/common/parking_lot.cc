@@ -1,7 +1,6 @@
 #include "common/parking_lot.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "common/sharded_counter.h"
 #include "common/thread_annotations.h"
@@ -50,16 +49,12 @@ Bucket& BucketFor(const void* addr) {
 }
 
 std::atomic<ParkingLot::Backend>& BackendWord() {
-  static std::atomic<ParkingLot::Backend> backend = [] {
 #if defined(__linux__)
-    const char* env = std::getenv("SKEENA_PARKING_FALLBACK");
-    bool fallback = env != nullptr && env[0] != '\0' && env[0] != '0';
-    return fallback ? ParkingLot::Backend::kCondvar
-                    : ParkingLot::Backend::kFutex;
+  static std::atomic<ParkingLot::Backend> backend{ParkingLot::Backend::kFutex};
 #else
-    return ParkingLot::Backend::kCondvar;
+  static std::atomic<ParkingLot::Backend> backend{
+      ParkingLot::Backend::kCondvar};
 #endif
-  }();
   return backend;
 }
 

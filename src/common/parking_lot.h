@@ -26,9 +26,9 @@ namespace skeena {
 ///    wake.
 ///
 /// Backends: `futex(2)` on Linux; elsewhere — or when forced via
-/// `SetBackendForTest` / SKEENA_PARKING_FALLBACK=1 — a static hashed table
-/// of mutex+condvar buckets keyed by word address. Bucket collisions only
-/// add spurious wakes, which the protocol already tolerates.
+/// `SetBackendForTest` — a static hashed table of mutex+condvar buckets
+/// keyed by word address. Bucket collisions only add spurious wakes, which
+/// the protocol already tolerates.
 class ParkingLot {
  public:
   enum class Backend { kFutex, kCondvar };

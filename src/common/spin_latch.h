@@ -82,7 +82,7 @@ struct alignas(64) Padded {
 /// Monotone CAS-max: raises `target` to at least `value` and returns the
 /// resulting maximum (never less than either input). Idempotent across
 /// racing callers — the shared helper behind the engines' GC floors and
-/// the ShardedCounter fold cache, so the loop's subtleties live once.
+/// the TrxSys counter, so the loop's subtleties live once.
 template <typename T>
 inline T AtomicFetchMax(std::atomic<T>& target, T value,
                         std::memory_order success_order) {

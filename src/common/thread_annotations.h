@@ -115,9 +115,6 @@ class SKEENA_CAPABILITY("shared_mutex") SharedMutex {
   bool TryLock() SKEENA_TRY_ACQUIRE(true) { return mu_.try_lock(); }
   void LockShared() SKEENA_ACQUIRE_SHARED() { mu_.lock_shared(); }
   void UnlockShared() SKEENA_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() SKEENA_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
 
  private:
   std::shared_mutex mu_;

@@ -266,9 +266,7 @@ Status LogManager::FlushPass() {
   // but durable_lsn_ still trails flushed_).
   const Lsn shipped = flushed_.load(std::memory_order_relaxed);
   if (durable_lsn_.load(std::memory_order_relaxed) < shipped) {
-    if (options_.sync_on_flush) {
-      SKEENA_RETURN_NOT_OK(device_->Sync());
-    }
+    SKEENA_RETURN_NOT_OK(device_->Sync());
     durable_lsn_.store(shipped, std::memory_order_release);
 
     const uint64_t now = SteadyNowNs();

@@ -85,8 +85,6 @@ class LogManager {
     /// when a straggling appender is still copying; larger blocks cost
     /// fewer release-count updates per append.
     size_t block_bytes = 32 * 1024;
-    /// Issue a device Sync() after each flush batch.
-    bool sync_on_flush = true;
     /// When false the background flusher never runs; only explicit Flush()
     /// advances durability (tests of durability gating).
     bool auto_flush = true;

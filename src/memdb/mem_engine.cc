@@ -11,14 +11,14 @@ namespace skeena::memdb {
 
 MemEngine::MemEngine(std::unique_ptr<StorageDevice> log_device,
                      Options options, EpochManager* epoch)
-    : options_(options), active_(options.max_concurrent_txns) {
+    : options_(options), active_(kMaxConcurrentTxns) {
   if (epoch == nullptr) {
     owned_epoch_ = std::make_unique<EpochManager>();
     epoch_ = owned_epoch_.get();
   } else {
     epoch_ = epoch;
   }
-  if (options_.enable_logging) {
+  if (log_device != nullptr) {
     log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
   }
 }
@@ -36,14 +36,6 @@ MemTable* MemEngine::GetTable(TableId id) const {
   MutexLock guard(tables_mu_);
   if (id >= tables_.size()) return nullptr;
   return tables_[id].get();
-}
-
-MemTable* MemEngine::GetTableByName(const std::string& name) const {
-  MutexLock guard(tables_mu_);
-  for (const auto& t : tables_) {
-    if (t->name() == name) return t.get();
-  }
-  return nullptr;
 }
 
 std::unique_ptr<MemTxn> MemEngine::Begin(IsolationLevel iso,

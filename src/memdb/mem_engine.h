@@ -45,20 +45,19 @@ class MemEngine {
  public:
   struct Options {
     LogManager::Options log;
-    bool enable_logging = true;
     /// ERMIA appends a commit record even for read-only transactions
     /// (observed in paper Section 6.4); kept for fidelity, switchable for
     /// ablations.
     bool log_read_only_commits = true;
     /// Advance the GC floor every N commits (per committing thread).
     uint64_t gc_interval = 256;
-    size_t max_concurrent_txns = 4096;
   };
 
-  /// `epoch` is the reclamation domain retired versions are freed through;
-  /// pass the database-owned manager so all engines and the CSR share one
-  /// epoch domain. When null (standalone use, tests) the engine owns a
-  /// private one.
+  /// A null `log_device` runs the engine without a log (no durability, no
+  /// recovery). `epoch` is the reclamation domain retired versions are
+  /// freed through; pass the database-owned manager so all engines and the
+  /// CSR share one epoch domain. When null (standalone use, tests) the
+  /// engine owns a private one.
   MemEngine(std::unique_ptr<StorageDevice> log_device, Options options,
             EpochManager* epoch = nullptr);
   ~MemEngine();
@@ -69,7 +68,6 @@ class MemEngine {
   // ----------------------------------------------------------- schema
   TableId CreateTable(const std::string& name);
   MemTable* GetTable(TableId id) const;
-  MemTable* GetTableByName(const std::string& name) const;
 
   // ------------------------------------------------------- transactions
   /// Latest engine snapshot: one atomic load (the cheap anchor-snapshot
@@ -200,8 +198,11 @@ class MemEngine {
   // thread) without folding the sharded counter on the hot path.
   void MaybeAdvanceGcFloor(uint64_t thread_commits);
 
+  /// Sizes the active-snapshot registry's first chunk; it grows past it.
+  static constexpr size_t kMaxConcurrentTxns = 4096;
+
   Options options_;
-  std::unique_ptr<LogManager> log_;
+  std::unique_ptr<LogManager> log_;  // null when built without a log device
 
   std::atomic<Timestamp> clock_{1};  // ts 1 = pre-loaded ("genesis") data
   ActiveSnapshotRegistry active_;
@@ -228,13 +229,10 @@ class MemEngine {
   std::function<Timestamp()> gc_horizon_provider_;
 
   // Hot-path counters are sharded so committing threads never contend on
-  // a stats cache line. The prune diagnostic additionally carries a
-  // tick-refreshed fold cache: it sits on the reclamation path and may be
-  // polled at sampling frequency, and a 50µs-stale monotone count is
-  // indistinguishable from an exact one there.
+  // a stats cache line.
   ShardedCounter commit_count_;
   ShardedCounter abort_count_;
-  ShardedCounter pruned_count_{/*read_cache_ns=*/50'000};
+  ShardedCounter pruned_count_;
 
   mutable Mutex tables_mu_;
   std::vector<std::unique_ptr<MemTable>> tables_ SKEENA_GUARDED_BY(tables_mu_);

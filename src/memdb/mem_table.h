@@ -59,9 +59,6 @@ class MemTable {
   /// record (head == nullptr) is invisible to all readers.
   Record* FindOrCreate(const Key& key);
 
-  /// Number of keys ever inserted (including tombstoned ones).
-  size_t KeyCount() const { return index_.size(); }
-
  private:
   const TableId id_;
   const std::string name_;

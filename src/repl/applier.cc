@@ -85,8 +85,7 @@ void Replica::RunLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     Status s = ch_.ConnectTo(options_.host, options_.port);
     if (!s.ok()) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.reconnect_interval_us));
+      std::this_thread::sleep_for(kReconnectInterval);
       continue;
     }
     if (connected_once) {
@@ -99,14 +98,12 @@ void Replica::RunLoop() {
     // fully received frames, so the tail is simply re-shipped.
     ch_.Close();
     if (!stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.reconnect_interval_us));
+      std::this_thread::sleep_for(kReconnectInterval);
     }
   }
 }
 
 void Replica::RunSession() {
-  uint64_t rid = 1;
   server::ReplHello hello;
   hello.version = server::kProtocolVersion;
   {
@@ -115,10 +112,17 @@ void Replica::RunSession() {
     hello.stor_lsn = recv_lsn_[kStorIndex];
     hello.csr_seq = csr_seq_;
   }
-  if (!ch_.Send(server::EncodeReplHello(rid++, hello)).ok()) return;
+  if (!ch_.Send(server::EncodeReplHello(/*request_id=*/1, hello)).ok()) {
+    return;
+  }
+  // The primary is outside input: a malformed answer or a version this
+  // replica does not speak ends the session before any stream is applied.
   server::Frame f;
+  uint8_t version = 0;
   if (!ch_.Recv(&f).ok() ||
-      f.opcode != static_cast<uint8_t>(server::Op::kReplHelloOk)) {
+      f.opcode != static_cast<uint8_t>(server::Op::kReplHelloOk) ||
+      !server::DecodeReplHelloOkBody(f.body, &version) ||
+      version != server::kProtocolVersion) {
     return;
   }
   while (!stop_.load(std::memory_order_acquire)) {
@@ -148,7 +152,7 @@ void Replica::RunSession() {
         if (!server::DecodeReplWatermarkBody(f.body, &wm)) {
           s = Status::Corruption("mangled REPL_WATERMARK");
         } else {
-          s = HandleWatermark(wm, &rid);
+          s = HandleWatermark(wm);
         }
         break;
       }
@@ -253,8 +257,8 @@ Status Replica::ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
     Status s;
     if (rec.tombstone) {
       s = stor->Delete(txn.get(), rec.table, rec.key);
-      // A row inserted and deleted within one primary transaction ships
-      // only its final tombstone; the key never existed here.
+      // The key may never have existed here: the primary's delete can hit
+      // a slot left by an aborted insert, which is never shipped.
       if (s.IsNotFound()) s = Status::OK();
     } else {
       s = stor->Put(txn.get(), rec.table, rec.key, rec.value);
@@ -264,12 +268,16 @@ Status Replica::ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
       return s;
     }
   }
+  if (txn->read_only()) {
+    // Only such tombstones: there is nothing to install.
+    stor->Abort(txn.get());
+    return Status::OK();
+  }
   stor->CommitReplicated(txn.get(), gtid, cts);
   return Status::OK();
 }
 
-Status Replica::HandleWatermark(const server::ReplWatermark& wm,
-                                uint64_t* rid) {
+Status Replica::HandleWatermark(const server::ReplWatermark& wm) {
   Timestamp horizon[kNumEngines];
   horizon[kMemIndex] = wm.mem_horizon;
   horizon[kStorIndex] = wm.stor_horizon;
@@ -314,16 +322,7 @@ Status Replica::HandleWatermark(const server::ReplWatermark& wm,
     }
   }
   cv_.NotifyAll();
-  SKEENA_RETURN_NOT_OK(s);
-
-  server::ReplAck ack;
-  {
-    MutexLock guard(mu_);
-    ack.mem_lsn = recv_lsn_[kMemIndex];
-    ack.stor_lsn = recv_lsn_[kStorIndex];
-    ack.csr_seq = csr_seq_;
-  }
-  return ch_.Send(server::EncodeReplAck((*rid)++, ack));
+  return s;
 }
 
 void Replica::RecomputeGate(Timestamp anchor_h, Timestamp other_h) {

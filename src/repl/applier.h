@@ -44,8 +44,6 @@ class Replica {
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;  // the shipper's port
-    /// Backoff between reconnect attempts after a severed channel.
-    uint32_t reconnect_interval_us = 2000;
   };
 
   /// `db` must be constructed with DatabaseOptions::replica = true. The
@@ -94,11 +92,12 @@ class Replica {
  private:
   void RunLoop();
   /// One connected session: handshake + frame pump. Returns when the
-  /// channel dies or Stop() is called.
+  /// channel dies, the primary's REPL_HELLO_OK is malformed or names
+  /// another protocol version, or Stop() is called.
   void RunSession();
   Status HandleLog(const server::ReplLogBatch& batch);
   Status HandleCsr(const server::ReplCsrBatch& batch);
-  Status HandleWatermark(const server::ReplWatermark& wm, uint64_t* rid);
+  Status HandleWatermark(const server::ReplWatermark& wm);
   Status ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
                     const std::vector<LogRecord>& records);
   /// Clamp (anchor_h, other_h) against gate_mappings_ and publish.
@@ -106,6 +105,9 @@ class Replica {
   /// WaitCaughtUp's predicate (out-of-line so TSA sees the lock).
   bool CaughtUpLocked(Lsn mem_lsn, Lsn stor_lsn, uint64_t csr_seq) const
       SKEENA_REQUIRES(mu_);
+
+  /// Backoff between reconnect attempts after a severed channel.
+  static constexpr std::chrono::microseconds kReconnectInterval{2000};
 
   Database* db_;
   Options options_;

@@ -105,7 +105,7 @@ Status Shipper::ShipLogs(ReplChannel& ch, int e, uint64_t* rid, Lsn* cursor,
   Lsn end = *cursor;
   size_t bytes = 0;
   std::string rec;
-  while (end < limit && bytes < options_.max_batch_bytes) {
+  while (end < limit && bytes < kMaxBatchBytes) {
     if (!reader.Next(&rec)) break;
     if (reader.offset() > limit) break;  // frame crosses the bound
     end = reader.offset();
@@ -126,7 +126,7 @@ Status Shipper::ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
   server::ReplCsrBatch batch;
   batch.first_seq = *cursor;
   uint64_t want = std::min<uint64_t>(target - *cursor,
-                                     options_.max_batch_bytes / 16);
+                                     kMaxBatchBytes / 16);
   journal_->Read(*cursor, std::max<uint64_t>(want, 1), &batch.entries);
   if (batch.entries.empty()) return Status::OK();
   SKEENA_RETURN_NOT_OK(SendOnChannel(ch, EncodeReplCsr((*rid)++, batch)));
@@ -219,11 +219,11 @@ void Shipper::Serve(int fd) {
       have_wm = false;  // recompute next pass
     }
     if (s.ok()) {
-      // Drain ACKs (informational; resume is replica-driven) and detect a
-      // closed peer without blocking.
-      server::Frame ack;
+      // Detect a closed peer without blocking. The replica sends nothing
+      // after its hello, so any frame read here is discarded.
+      server::Frame ignored;
       Status rerr;
-      while (ch.TryRecv(&ack, &rerr)) {
+      while (ch.TryRecv(&ignored, &rerr)) {
       }
       if (!rerr.ok()) s = rerr;
     }
@@ -232,8 +232,7 @@ void Shipper::Serve(int fd) {
       // Nothing shipped: park until a durable advance / journal append
       // bumps the eventcount. The backstop bounds how long a dead peer
       // can go unnoticed (TryRecv above is the only close detector).
-      ParkingLot::ParkFor(progress_seq_, seen,
-                          uint64_t{options_.idle_backstop_us} * 1000);
+      ParkingLot::ParkFor(progress_seq_, seen, kIdleBackstopNs);
     }
   }
 

@@ -94,14 +94,6 @@ class Shipper {
  public:
   struct Options {
     uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
-    /// Soft bound on REPL_LOG payload bytes per frame (one oversized
-    /// record still ships alone; the hard bound is kMaxFrameLen).
-    size_t max_batch_bytes = 64 * 1024;
-    /// Backstop park timeout when no durable-advance / journal-append wake
-    /// arrives. The eventcount provides the fast path; this bounds
-    /// dead-peer detection latency (the serve loop's TryRecv is the only
-    /// thing that notices a closed replica).
-    uint32_t idle_backstop_us = 50 * 1000;
   };
 
   Shipper(Database* db, CsrInstallJournal* journal, Options options);
@@ -149,6 +141,15 @@ class Shipper {
                   Lsn target, bool* progress);
   Status ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
                  uint64_t target, bool* progress);
+
+  /// Soft bound on REPL_LOG payload bytes per frame (one oversized
+  /// record still ships alone; the hard bound is kMaxFrameLen).
+  static constexpr size_t kMaxBatchBytes = 64 * 1024;
+  /// Backstop park timeout when no durable-advance / journal-append wake
+  /// arrives. The eventcount provides the fast path; this bounds
+  /// dead-peer detection latency (the serve loop's TryRecv is the only
+  /// thing that notices a closed replica).
+  static constexpr uint64_t kIdleBackstopNs = 50'000'000;  // 50 ms
 
   Database* db_;
   CsrInstallJournal* journal_;

@@ -121,6 +121,15 @@ Status Client::RecvResponse(Response* rsp) {
   }
 }
 
+bool Client::ResponseBuffered() const {
+  size_t consumed = 0;
+  Frame f;
+  Err err;
+  uint64_t hint;
+  return ExtractFrame(inbuf_, &consumed, &f, &err, &hint) !=
+         ParseResult::kNeedMore;
+}
+
 Status Client::Call(std::string frame, Op expect, Response* rsp) {
   SKEENA_RETURN_NOT_OK(WriteAll(frame));
   SKEENA_RETURN_NOT_OK(RecvResponse(rsp));

@@ -89,6 +89,11 @@ class Client {
   /// IOError). Framing violations from the server would be bugs; they
   /// surface as Corruption.
   Status RecvResponse(Response* rsp);
+  /// True when RecvResponse would return without reading the socket: a
+  /// complete response frame (or a framing violation) is already buffered.
+  /// poll() on fd() cannot see such frames, so poll-driven callers check
+  /// this first.
+  bool ResponseBuffered() const;
 
  private:
   uint64_t next_request_id() { return next_request_id_++; }

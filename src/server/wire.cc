@@ -524,14 +524,6 @@ std::string EncodeReplWatermark(uint64_t request_id, const ReplWatermark& w) {
   return Seal(std::move(f));
 }
 
-std::string EncodeReplAck(uint64_t request_id, const ReplAck& a) {
-  std::string f = BeginFrame(request_id, Op::kReplAck);
-  PutLE64(&f, a.mem_lsn);
-  PutLE64(&f, a.stor_lsn);
-  PutLE64(&f, a.csr_seq);
-  return Seal(std::move(f));
-}
-
 bool DecodeReplHelloBody(std::string_view body, ReplHello* h) {
   Reader r(body);
   return r.U8(&h->version) && r.U64(&h->mem_lsn) && r.U64(&h->stor_lsn) &&
@@ -584,12 +576,6 @@ bool DecodeReplWatermarkBody(std::string_view body, ReplWatermark* w) {
   Reader r(body);
   return r.U64(&w->mem_horizon) && r.U64(&w->stor_horizon) &&
          r.U64(&w->csr_seq) && r.AtEnd();
-}
-
-bool DecodeReplAckBody(std::string_view body, ReplAck* a) {
-  Reader r(body);
-  return r.U64(&a->mem_lsn) && r.U64(&a->stor_lsn) && r.U64(&a->csr_seq) &&
-         r.AtEnd();
 }
 
 }  // namespace skeena::server

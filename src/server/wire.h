@@ -46,7 +46,6 @@ enum class Op : uint8_t {
   kPing = 0x07,
   // replication (docs/REPLICATION.md): replica -> primary
   kReplHello = 0x11,
-  kReplAck = 0x12,
   // responses
   kHelloOk = 0x81,
   kTableOk = 0x82,
@@ -248,28 +247,17 @@ struct ReplWatermark {
   uint64_t csr_seq = 0;
 };
 
-/// REPL_ACK (replica -> primary): received-and-buffered stream positions
-/// after applying a watermark; informational (the primary keeps no
-/// per-replica durable state — resume is replica-driven via REPL_HELLO).
-struct ReplAck {
-  Lsn mem_lsn = 0;
-  Lsn stor_lsn = 0;
-  uint64_t csr_seq = 0;
-};
-
 std::string EncodeReplHello(uint64_t request_id, const ReplHello& h);
 std::string EncodeReplHelloOk(uint64_t request_id, uint8_t version);
 std::string EncodeReplLog(uint64_t request_id, const ReplLogBatch& b);
 std::string EncodeReplCsr(uint64_t request_id, const ReplCsrBatch& b);
 std::string EncodeReplWatermark(uint64_t request_id, const ReplWatermark& w);
-std::string EncodeReplAck(uint64_t request_id, const ReplAck& a);
 
 bool DecodeReplHelloBody(std::string_view body, ReplHello* h);
 bool DecodeReplHelloOkBody(std::string_view body, uint8_t* version);
 bool DecodeReplLogBody(std::string_view body, ReplLogBatch* b);
 bool DecodeReplCsrBody(std::string_view body, ReplCsrBatch* b);
 bool DecodeReplWatermarkBody(std::string_view body, ReplWatermark* w);
-bool DecodeReplAckBody(std::string_view body, ReplAck* a);
 
 }  // namespace skeena::server
 

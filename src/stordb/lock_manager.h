@@ -30,7 +30,6 @@ class LockManager {
     /// Waiting longer than this aborts the requester (InnoDB's
     /// innodb_lock_wait_timeout, scaled down for benchmarks).
     uint64_t wait_timeout_ms = 1000;
-    size_t num_buckets = 256;
   };
 
   LockManager() : LockManager(Options()) {}
@@ -92,6 +91,8 @@ class LockManager {
   void AddEdges(uint64_t waiter, const std::vector<uint64_t>& holders);
   void ClearEdges(uint64_t waiter);
   bool WouldDeadlock(uint64_t waiter);
+
+  static constexpr size_t kNumBuckets = 256;
 
   Options options_;
   std::vector<Bucket> buckets_;

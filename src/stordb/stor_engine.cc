@@ -18,7 +18,7 @@ StorEngine::StorEngine(std::unique_ptr<StorageDevice> log_device,
   } else {
     epoch_ = epoch;
   }
-  if (options_.enable_logging) {
+  if (log_device != nullptr) {
     log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
   }
   if (!options_.device_factory) {
@@ -66,11 +66,6 @@ StorEngine::StorTable* StorEngine::GetTable(TableId id) const {
   MutexLock guard(tables_mu_);
   if (id >= tables_.size()) return nullptr;
   return tables_[id].get();
-}
-
-size_t StorEngine::TableRowCapacity(TableId id) const {
-  StorTable* t = GetTable(id);
-  return t == nullptr ? 0 : t->slots_per_page;
 }
 
 std::unique_ptr<StorTxn> StorEngine::Begin(IsolationLevel iso,

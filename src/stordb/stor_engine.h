@@ -57,7 +57,6 @@ class StorEngine {
     size_t buffer_pool_pages = 2048;
     size_t pool_shards = 8;
     LogManager::Options log;
-    bool enable_logging = true;
     /// Latency injected by the default (in-memory) table-space devices;
     /// DeviceLatency::Ssd() models the paper's SSD runs (Section 6.7).
     DeviceLatency data_latency = DeviceLatency::Tmpfs();
@@ -66,13 +65,13 @@ class StorEngine {
     LockManager::Options lock;
     /// Purge states/undo every N commits.
     uint64_t purge_interval = 512;
-    size_t max_concurrent_txns = 4096;
   };
 
-  /// `epoch` is the reclamation domain retired undo batches are freed
-  /// through; pass the database-owned manager so all engines and the CSR
-  /// share one epoch domain. When null (standalone use, tests) the engine
-  /// owns a private one.
+  /// A null `log_device` runs the engine without a log (no durability, no
+  /// recovery). `epoch` is the reclamation domain retired undo batches are
+  /// freed through; pass the database-owned manager so all engines and the
+  /// CSR share one epoch domain. When null (standalone use, tests) the
+  /// engine owns a private one.
   StorEngine(std::unique_ptr<StorageDevice> log_device, Options options,
              EpochManager* epoch = nullptr);
   ~StorEngine();
@@ -82,7 +81,6 @@ class StorEngine {
 
   // ----------------------------------------------------------- schema
   TableId CreateTable(const std::string& name, size_t max_value_size);
-  size_t TableRowCapacity(TableId id) const;
 
   // ------------------------------------------------------- transactions
   /// Latest commit-order snapshot (for CSR Algorithm 1's fallback).
@@ -230,7 +228,7 @@ class StorEngine {
                        bool tombstone);
 
   Options options_;
-  std::unique_ptr<LogManager> log_;
+  std::unique_ptr<LogManager> log_;  // null when built without a log device
   std::unique_ptr<BufferPool> pool_;
   TrxSys trx_sys_;
   LockManager locks_;
@@ -274,11 +272,10 @@ class StorEngine {
 
   // Hot-path counters are sharded so committing threads never contend on
   // a stats cache line; MaybePurge triggers off the committing thread's
-  // shard-local count instead of a folded total. The purge diagnostic
-  // carries a tick-refreshed fold cache (see MemEngine::pruned_count_).
+  // shard-local count instead of a folded total.
   ShardedCounter commit_count_;
   ShardedCounter abort_count_;
-  ShardedCounter undo_purged_{/*read_cache_ns=*/50'000};
+  ShardedCounter undo_purged_;
 };
 
 }  // namespace skeena::stordb

@@ -4,9 +4,9 @@
 
 namespace skeena::stordb {
 
-TrxSys::TrxSys() {
+TrxSys::TrxSys() : states_(kStateShards) {
   // Genesis transaction: initial table loads are stamped tid 1 / ser 1.
-  states_.Put(1, StateSnapshot{TxnState::kCommitted, 1});
+  PutState(1, StateSnapshot{TxnState::kCommitted, 1});
   resolved_commits_.push_back(Resolved{1, 1});
 }
 
@@ -14,7 +14,7 @@ uint64_t TrxSys::AssignTid() {
   MutexLock guard(mu_);
   uint64_t tid = next_tid_.fetch_add(1, std::memory_order_seq_cst);
   active_tids_.insert(tid);
-  states_.Put(tid, StateSnapshot{TxnState::kActive, 0});
+  PutState(tid, StateSnapshot{TxnState::kActive, 0});
   return tid;
 }
 
@@ -26,14 +26,14 @@ uint64_t TrxSys::AssignSerNo(uint64_t tid) {
   // kActive (which reads as invisible and would skip a row its snapshot
   // covers). ser_mu_ keeps successive draws — and so the stores below —
   // in ser order.
-  states_.Put(tid, StateSnapshot{TxnState::kPreCommitted, ser});
+  PutState(tid, StateSnapshot{TxnState::kPreCommitted, ser});
   last_allocated_.store(ser, std::memory_order_release);
   return ser;
 }
 
 void TrxSys::ForceSerNo(uint64_t tid, uint64_t ser) {
   MutexLock guard(ser_mu_);
-  states_.Put(tid, StateSnapshot{TxnState::kPreCommitted, ser});
+  PutState(tid, StateSnapshot{TxnState::kPreCommitted, ser});
   AtomicFetchMax(next_tid_, ser + 1, std::memory_order_seq_cst);
   // relaxed-ok: ser_mu_ is held, so no concurrent writer; the release
   // store below is the publication edge for lock-free readers.
@@ -44,9 +44,8 @@ void TrxSys::ForceSerNo(uint64_t tid, uint64_t ser) {
 
 void TrxSys::MarkCommitted(uint64_t tid) {
   MutexLock guard(mu_);
-  auto st = states_.Get(tid);
-  uint64_t ser = st.has_value() ? st->ser : 0;
-  states_.Put(tid, StateSnapshot{TxnState::kCommitted, ser});
+  uint64_t ser = GetState(tid).ser;  // 0 when the entry is missing
+  PutState(tid, StateSnapshot{TxnState::kCommitted, ser});
   active_tids_.erase(tid);
   if (ser != 0) {
     // Terminal state: enters the purge FIFO exactly once. A ser of 0
@@ -59,9 +58,7 @@ void TrxSys::MarkCommitted(uint64_t tid) {
 
 void TrxSys::MarkAborting(uint64_t tid) {
   MutexLock guard(mu_);
-  auto st = states_.Get(tid);
-  states_.Put(tid, StateSnapshot{TxnState::kAborted,
-                                 st.has_value() ? st->ser : 0});
+  PutState(tid, StateSnapshot{TxnState::kAborted, GetState(tid).ser});
   // The TID intentionally stays in active_tids_ until FinishAbort().
 }
 
@@ -77,7 +74,7 @@ void TrxSys::FinishAbort(uint64_t tid) {
   // its registered view keeps the purge below. (The ser of an aborted
   // state is otherwise unused: visibility only looks at the state tag.)
   uint64_t bound = CounterBound();
-  states_.Put(tid, StateSnapshot{TxnState::kAborted, bound});
+  PutState(tid, StateSnapshot{TxnState::kAborted, bound});
   MutexLock rguard(resolved_mu_);
   resolved_aborts_.push_back(Resolved{bound, tid});
 }
@@ -96,13 +93,21 @@ ReadView TrxSys::CreateReadView(uint64_t own_tid) {
   return view;
 }
 
+void TrxSys::PutState(uint64_t tid, StateSnapshot st) {
+  StateShard& s = StateShardFor(tid);
+  MutexLock guard(s.mu);
+  s.map[tid] = st;
+}
+
 TrxSys::StateSnapshot TrxSys::GetState(uint64_t tid) const {
-  auto st = states_.Get(tid);
-  if (!st.has_value()) {
+  StateShard& s = StateShardFor(tid);
+  MutexLock guard(s.mu);
+  auto it = s.map.find(tid);
+  if (it == s.map.end()) {
     // Purged: resolved long before any live view.
     return StateSnapshot{TxnState::kCommitted, 0};
   }
-  return *st;
+  return it->second;
 }
 
 bool TrxSys::VisibleInCrossView(uint64_t tid, uint64_t ser_limit) const {
@@ -166,7 +171,11 @@ size_t TrxSys::PurgeStates(uint64_t min_ser) {
     }
   }
   size_t removed = 0;
-  for (uint64_t tid : ripe) removed += states_.Erase(tid) ? 1 : 0;
+  for (uint64_t tid : ripe) {
+    StateShard& s = StateShardFor(tid);
+    MutexLock guard(s.mu);
+    removed += s.map.erase(tid);
+  }
   return removed;
 }
 
@@ -177,11 +186,6 @@ void TrxSys::AdvanceTo(uint64_t next) {
   if (next > 1 && next - 1 > last_allocated_.load(std::memory_order_relaxed)) {
     last_allocated_.store(next - 1, std::memory_order_release);
   }
-}
-
-size_t TrxSys::ActiveCount() const {
-  MutexLock guard(mu_);
-  return active_tids_.size();
 }
 
 }  // namespace skeena::stordb

@@ -4,14 +4,15 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/active_registry.h"
 #include "common/thread_annotations.h"
 #include "common/spin_latch.h"
 #include "common/types.h"
-#include "index/concurrent_hash_map.h"
 
 namespace skeena::stordb {
 
@@ -173,8 +174,6 @@ class TrxSys {
   /// Fast-forwards the TID/serialisation counter after recovery.
   void AdvanceTo(uint64_t next);
 
-  size_t ActiveCount() const;
-
  private:
   mutable Mutex mu_ SKEENA_ACQUIRED_BEFORE(resolved_mu_);  // the trx-sys mutex
   std::set<uint64_t> active_tids_ SKEENA_GUARDED_BY(mu_);
@@ -188,7 +187,18 @@ class TrxSys {
   // Largest published ser; written only under ser_mu_, read lock-free.
   std::atomic<uint64_t> last_allocated_{1};
 
-  mutable ConcurrentHashMap<uint64_t, StateSnapshot> states_;
+  // Transaction state table, read on every stordb visibility check:
+  // mutex-sharded so point lookups on different TIDs rarely contend.
+  struct StateShard {
+    Mutex mu;
+    std::unordered_map<uint64_t, StateSnapshot> map SKEENA_GUARDED_BY(mu);
+  };
+  static constexpr size_t kStateShards = 64;
+  StateShard& StateShardFor(uint64_t tid) const {
+    return states_[std::hash<uint64_t>{}(tid) % kStateShards];
+  }
+  void PutState(uint64_t tid, StateSnapshot st);
+  mutable std::vector<StateShard> states_;
   ActiveSnapshotRegistry views_;
   uint64_t prev_purge_min_ = 0;  // guarded by callers' purge serialization
 

@@ -34,7 +34,6 @@ int TortureMillis() { return test::FullSweep() ? 2000 : 300; }
 
 TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
   MemEngine::Options opts;
-  opts.enable_logging = false;
   opts.gc_interval = 4;  // advance the floor aggressively
   MemEngine engine(nullptr, opts);
   TableId t = engine.CreateTable("torture");
@@ -127,7 +126,6 @@ TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
 
 TEST(StorReclaimTortureTest, PinnedViewNeverObservesFreedUndos) {
   StorEngine::Options opts;
-  opts.enable_logging = false;
   opts.purge_interval = 4;  // purge aggressively
   StorEngine engine(nullptr, opts);
   TableId t = engine.CreateTable("torture", 64);
@@ -229,7 +227,6 @@ TEST(StorReclaimTortureTest, UndoAllocationsDrainToZero) {
   ASSERT_EQ(stordb::UndoRecord::LiveCount(), 0u);
   {
     StorEngine::Options opts;
-    opts.enable_logging = false;
     opts.purge_interval = 16;  // let a pending backlog build up
     StorEngine engine(nullptr, opts);
     TableId t = engine.CreateTable("drain", 64);

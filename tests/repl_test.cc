@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,9 +27,12 @@
 
 #include "core/history.h"
 #include "core/skeena.h"
+#include "log/log_records.h"
 #include "log/storage_device.h"
 #include "repl/applier.h"
+#include "repl/channel.h"
 #include "repl/shipper.h"
+#include "server/wire.h"
 #include "support/db_fixtures.h"
 
 namespace skeena::test {
@@ -202,6 +206,28 @@ TEST(ReplBasic, ShipAndReadReachesIdenticalState) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
+// A primary stordb transaction can ship a tombstone for a key the replica
+// never had: here the key's slot comes from an insert that aborted, so the
+// primary's delete succeeds while the replica's finds nothing. The
+// replayed group then changes nothing and must not be committed as a
+// write.
+TEST(ReplBasic, TombstoneOfAbortedInsertReplicates) {
+  ReplPair rp;
+  {
+    auto txn = rp.primary->Begin(IsolationLevel::kSnapshot);
+    ASSERT_TRUE(txn->Put(rp.p_stor, MakeKey(9), "aborted").ok());
+    txn->Abort();
+  }
+  {
+    auto txn = rp.primary->Begin(IsolationLevel::kSnapshot);
+    ASSERT_TRUE(txn->Delete(rp.p_stor, MakeKey(9)).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(rp.SinglePut(rp.p_stor, 10, "after").ok());
+  ASSERT_TRUE(rp.CatchUp());
+  rp.ExpectStateEqual();
+}
+
 TEST(ReplBasic, ReplicaRejectsWrites) {
   ReplPair rp;
   ASSERT_TRUE(rp.CrossPut(1, "v").ok());
@@ -220,6 +246,148 @@ TEST(ReplBasic, ReplicaRejectsWrites) {
 }
 
 // --------------------------------------------------- concurrent snapshot SI
+
+// ------------------------------------------------------------- handshake
+
+/// A stub primary built from the replication channel: it accepts one
+/// replica, answers its REPL_HELLO with `hello_ok` (a raw frame), then
+/// ships one single-engine memdb commit (cts 2, key 7) and a watermark
+/// covering it, and holds the connection until the replica closes it.
+class StubPrimary {
+ public:
+  static constexpr Lsn kEndLsn = 100;
+
+  explicit StubPrimary(std::function<std::string(uint64_t)> hello_ok) {
+    EXPECT_TRUE(listener_.Listen(0).ok());
+    thread_ = std::thread([this, hello_ok] {
+      int fd = listener_.Accept();
+      if (fd < 0) return;
+      repl::ReplChannel ch;
+      ch.Adopt(fd);
+      server::Frame hello;
+      if (!ch.Recv(&hello).ok()) return;
+      LogRecord data;
+      data.gtid = 1;
+      data.cts = 2;
+      data.key = MakeKey(7);
+      data.value = "shipped";
+      LogRecord commit;
+      commit.type = LogRecordType::kCommit;
+      commit.gtid = 1;
+      commit.cts = 2;
+      server::ReplLogBatch batch;
+      batch.engine = static_cast<uint8_t>(EngineKind::kMem);
+      batch.end_lsn = kEndLsn;
+      batch.records = {data.Encode(), commit.Encode()};
+      server::ReplWatermark wm;
+      wm.mem_horizon = 2;
+      wm.stor_horizon = 1;
+      // Send errors are expected once the replica has dropped the session.
+      (void)ch.Send(hello_ok(hello.request_id));
+      (void)ch.Send(server::EncodeReplLog(2, batch));
+      (void)ch.Send(server::EncodeReplWatermark(3, wm));
+      server::Frame ignored;
+      while (ch.Recv(&ignored).ok()) {
+      }
+      closed_.store(true);
+    });
+  }
+
+  ~StubPrimary() {
+    listener_.Shutdown();  // unblocks an Accept() no replica answered
+    if (thread_.joinable()) thread_.join();
+    listener_.Close();
+  }
+  StubPrimary(const StubPrimary&) = delete;
+  StubPrimary& operator=(const StubPrimary&) = delete;
+
+  /// True once the replica has closed the stub's connection.
+  bool closed() const { return closed_.load(); }
+
+  uint16_t port() const { return listener_.port(); }
+
+ private:
+  repl::ReplListener listener_;
+  std::atomic<bool> closed_{false};
+  std::thread thread_;  // last: it uses the members above
+};
+
+struct StubReplica {
+  explicit StubReplica(uint16_t port) {
+    DatabaseOptions opts = FastOptions();
+    opts.replica = true;
+    db = std::make_unique<Database>(opts);
+    // Table id 0, which the stub's records name.
+    EXPECT_TRUE(db->CreateTable("mem_t", EngineKind::kMem).ok());
+    Replica::Options ropts;
+    ropts.port = port;
+    replica = std::make_unique<Replica>(db.get(), ropts);
+    EXPECT_TRUE(replica->Start().ok());
+  }
+  ~StubReplica() { replica->Stop(); }
+  StubReplica(const StubReplica&) = delete;
+  StubReplica& operator=(const StubReplica&) = delete;
+
+  /// Waits until the replica either dropped the stub's session or applied
+  /// a watermark from it.
+  bool WaitDroppedOrApplied(const StubPrimary& primary) {
+    auto deadline = std::chrono::steady_clock::now() + kCatchUpTimeout;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (primary.closed() || replica->progress().watermarks > 0) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  std::unique_ptr<Database> db;
+  std::unique_ptr<Replica> replica;
+};
+
+// Control for the two tests below: the stub's stream is applied when its
+// REPL_HELLO_OK is well formed.
+TEST(ReplHandshake, MatchingVersionAppliesStubStream) {
+  StubPrimary primary([](uint64_t rid) {
+    return server::EncodeReplHelloOk(rid, server::kProtocolVersion);
+  });
+  StubReplica r(primary.port());
+  ASSERT_TRUE(r.replica->WaitCaughtUp(StubPrimary::kEndLsn, 0, 0,
+                                      kCatchUpTimeout));
+  EXPECT_EQ(r.replica->progress().groups_applied, 1u);
+  EXPECT_EQ(r.replica->progress().watermarks, 1u);
+}
+
+// The primary is outside input: a REPL_HELLO_OK naming a protocol version
+// the replica does not speak ends the session before any stream frame is
+// applied.
+TEST(ReplHandshake, WrongVersionHelloOkAppliesNothing) {
+  StubPrimary primary([](uint64_t rid) {
+    return server::EncodeReplHelloOk(rid, server::kProtocolVersion + 1);
+  });
+  StubReplica r(primary.port());
+  ASSERT_TRUE(r.WaitDroppedOrApplied(primary));
+  Replica::Progress p = r.replica->progress();
+  EXPECT_EQ(p.recv_lsn[static_cast<int>(EngineKind::kMem)], 0u);
+  EXPECT_EQ(p.groups_applied, 0u);
+  EXPECT_EQ(p.watermarks, 0u);
+  EXPECT_EQ(r.replica->GatePair(), std::make_pair(Timestamp{1}, Timestamp{1}));
+}
+
+// Same for a REPL_HELLO_OK whose body does not decode (the version byte is
+// missing).
+TEST(ReplHandshake, MalformedHelloOkAppliesNothing) {
+  StubPrimary primary([](uint64_t rid) {
+    std::string f = server::EncodeReplHelloOk(rid, server::kProtocolVersion);
+    // Drop the one-byte body and shrink the header's len field to match.
+    f.pop_back();
+    f[0] = static_cast<char>(f[0] - 1);
+    return f;
+  });
+  StubReplica r(primary.port());
+  ASSERT_TRUE(r.WaitDroppedOrApplied(primary));
+  Replica::Progress p = r.replica->progress();
+  EXPECT_EQ(p.groups_applied, 0u);
+  EXPECT_EQ(p.watermarks, 0u);
+}
 
 TEST(ReplConsistency, SnapshotReadsUnderLoadPassSiCheck) {
   ReplPair rp;

@@ -683,6 +683,80 @@ TEST_F(ServerTest, FramesSplitAcrossWritesReassemble) {
   EXPECT_EQ(rsp.request_id, 7u);
 }
 
+/// Reads from `fd` until `buf` holds one complete frame, which is returned
+/// (and consumed). Returns false on EOF or a framing error.
+bool RecvFrame(int fd, std::string* buf, Frame* frame) {
+  for (;;) {
+    size_t consumed = 0;
+    Err err;
+    uint64_t hint;
+    ParseResult r = ExtractFrame(*buf, &consumed, frame, &err, &hint);
+    if (r == ParseResult::kFrame) {
+      buf->erase(0, consumed);
+      return true;
+    }
+    if (r == ParseResult::kError) return false;
+    char chunk[256];
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf->append(chunk, static_cast<size_t>(n));
+  }
+}
+
+// A stub peer answers one PING with two PONG frames in a single write and
+// then closes. Both arrive in the client's first read, so the second frame
+// is buffered where poll() cannot see it: ResponseBuffered() must report
+// it, and the second RecvResponse must return it without touching the
+// socket (which by then only holds EOF).
+TEST(ClientTest, TwoFramesInOneWriteAreServedFromTheBuffer) {
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+            0);
+
+  std::thread peer([lfd] {
+    int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string in;
+    Frame f;
+    if (RecvFrame(fd, &in, &f)) {  // HELLO
+      std::string ok = EncodeHelloOk(f.request_id, kProtocolVersion);
+      ::send(fd, ok.data(), ok.size(), MSG_NOSIGNAL);
+    }
+    if (RecvFrame(fd, &in, &f)) {  // PING
+      std::string two = EncodePong(f.request_id) + EncodePong(f.request_id + 1);
+      ::send(fd, two.data(), two.size(), MSG_NOSIGNAL);
+    }
+    ::close(fd);
+  });
+
+  Client c;
+  Status connected = c.Connect("127.0.0.1", ntohs(addr.sin_port));
+  EXPECT_FALSE(c.ResponseBuffered());
+  uint64_t rid = connected.ok() ? c.SendPing() : 0;
+  if (!connected.ok()) ::shutdown(lfd, SHUT_RDWR);  // unblock accept()
+  peer.join();  // both PONGs and the EOF are queued on the socket
+  ::close(lfd);
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+
+  Response rsp;
+  ASSERT_TRUE(c.RecvResponse(&rsp).ok());
+  EXPECT_EQ(rsp.op, Op::kPong);
+  EXPECT_EQ(rsp.request_id, rid);
+  EXPECT_TRUE(c.ResponseBuffered());
+  ASSERT_TRUE(c.RecvResponse(&rsp).ok());  // a socket read would see EOF
+  EXPECT_EQ(rsp.op, Op::kPong);
+  EXPECT_EQ(rsp.request_id, rid + 1);
+  EXPECT_FALSE(c.ResponseBuffered());
+  EXPECT_EQ(c.RecvResponse(&rsp).code(), StatusCode::kIOError);
+}
+
 TEST_F(ServerTest, MidTransactionDisconnectAbortsOrphan) {
   uint64_t before = server_->stats().txns_aborted_on_disconnect;
   {

@@ -14,7 +14,9 @@ silently stops finding bugs fails THIS test instead of rotting:
 2. scripts/check_invariants.py: each snippets/lint_*.cc violation is
    copied into a scratch tree and the named rule must flag it (exit 1);
    snippets/lint_clean.cc must produce zero findings. Orphan/uncommented
-   .tsan-suppressions entries are seeded directly. This lane runs
+   .tsan-suppressions entries are seeded directly, and so is the DESIGN.md
+   Options inventory the unlisted-option snippet is checked against. This
+   lane runs
    everywhere (pure python).
 
 Exit codes: 0 pass, 1 fail, 77 skip (nothing could run — should not
@@ -122,6 +124,25 @@ def run_linter_lane(repo_root, here):
                    f"rc={rc} output={out[:800]}")
         finally:
             shutil.rmtree(scratch)
+
+    # Options inventory: the snippet declares two knobs, the seeded
+    # DESIGN.md lists one of them plus one that no longer exists.
+    scratch = make_scratch(repo_root, snippet_dir, "lint_unlisted_option.cc")
+    try:
+        with open(os.path.join(scratch, "DESIGN.md"), "w") as f:
+            f.write("## Options inventory\n\n| Field | Needed by |\n"
+                    "|---|---|\n"
+                    "| `Widget::Options::listed_knob` | a test |\n"
+                    "| `Widget::Options::deleted_knob` | a test |\n")
+        rc, out = run_linter(repo_root, scratch)
+        ok = (rc == 1 and "findings=2" in out
+              and "[unlisted-option] Widget::Options::unlisted_knob" in out
+              and "row Widget::Options::deleted_knob" in out)
+        record("lint: lint_unlisted_option.cc flagged by unlisted-option "
+               "(one unlisted field, one stale row, nothing else)", ok,
+               f"rc={rc} output={out[:800]}")
+    finally:
+        shutil.rmtree(scratch)
 
     # Orphan suppression: entry names a symbol absent from src/.
     scratch = make_scratch(repo_root, snippet_dir, None)
